@@ -26,7 +26,6 @@ from .algebra import (
 from .continuity import initial_local_topology, is_continuous, localize, pullback_local
 from .errors import (
     DEFAULT_CANDIDATE_CAP,
-    DEFAULT_HOM_CAP,
     DEFAULT_SIEVE_CAP,
     FinsiteError,
     ResourceError,
@@ -81,21 +80,28 @@ class CommandRequest:
     options: dict = field(default_factory=dict)
 
 
-def _env_cap(name, default):
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise StructuralError(f"environment variable {name} must be an integer, got {raw!r}") from None
+def _cap(opts, key, env, default):
+    """A cap from its option, else its environment variable, else the
+    default.  A cap of 0 is a real cap; a negative one is an error."""
+    value, source = opts.get(key), "--" + key.replace("_", "-")
+    if value is None:
+        raw = os.environ.get(env)
+        if raw is None:
+            return default
+        try:
+            value = int(raw)
+        except ValueError:
+            raise StructuralError(f"environment variable {env} must be an integer, got {raw!r}") from None
+        source = f"environment variable {env}"
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise StructuralError(f"{source} must be a non-negative integer, got {value!r}")
+    return value
 
 
 def _caps(opts):
     return {
-        "sieves": opts.get("cap_sieves") or _env_cap("FINSITE_CAP_SIEVES", DEFAULT_SIEVE_CAP),
-        "homs": opts.get("cap_homs") or _env_cap("FINSITE_CAP_HOMS", DEFAULT_HOM_CAP),
-        "candidates": opts.get("cap_candidates") or _env_cap("FINSITE_CAP_CANDIDATES", DEFAULT_CANDIDATE_CAP),
+        "sieves": _cap(opts, "cap_sieves", "FINSITE_CAP_SIEVES", DEFAULT_SIEVE_CAP),
+        "candidates": _cap(opts, "cap_candidates", "FINSITE_CAP_CANDIDATES", DEFAULT_CANDIDATE_CAP),
     }
 
 
@@ -104,9 +110,8 @@ def _load_category(opts):
     return parse_category_file(Path(path).read_text(), path)
 
 
-def _load_topology(opts, C, key="topology", verify=False):
+def _load_topology(opts, C, caps, key="topology", verify=False):
     path = opts[key]
-    caps = _caps(opts)
     J, report = parse_topology_file(
         Path(path).read_text(), C, path, sieve_cap=caps["sieves"], verify=verify
     )
@@ -138,16 +143,17 @@ def _local_lines(C, L, label):
 # -- handlers ----------------------------------------------------------
 
 
-def _cmd_validate(opts):
+def _cmd_validate(opts, caps):
     C = _load_category(opts)
-    seed = opts.get("seed") or 0
+    seed = opts.get("seed")
+    if seed is None:
+        seed = 0
     report = validate_category(C, seed=seed)
     lines = [f"validate {C.name}: {report.summary()}", f"seed: {seed}"]
     return (0 if report.ok else 1), lines
 
 
-def _cmd_make_category(opts):
-    caps = _caps(opts)
+def _cmd_make_category(opts, caps):
     if opts.get("divisor"):
         C = build_divisor_poset(opts["divisor"])
     elif opts.get("product"):
@@ -163,9 +169,8 @@ def _cmd_make_category(opts):
     return 0, _emit(opts, serialize_category(C))
 
 
-def _cmd_make_topology(opts):
+def _cmd_make_topology(opts, caps):
     C = _load_category(opts)
-    caps = _caps(opts)
     J, report = build_topology(C, opts["kind"], sieve_cap=caps["sieves"], verify=opts.get("verify", True))
     lines = _emit(opts, serialize_topology(J))
     if report is None:
@@ -175,14 +180,14 @@ def _cmd_make_topology(opts):
     return (0 if report.ok else 1), lines
 
 
-def _cmd_check_topology(opts):
+def _cmd_check_topology(opts, caps):
     C = _load_category(opts)
-    J, report = _load_topology(opts, C, verify=True)
+    J, report = _load_topology(opts, C, caps, verify=True)
     lines = [f"check-topology {J.name} on {C.name}: {report.summary(C)}"]
     return (0 if report.ok else 1), lines
 
 
-def _cmd_pullback(opts):
+def _cmd_pullback(opts, caps):
     C = _load_category(opts)
     h = _find_arrow(C, opts["arrow"])
     if opts.get("sieve"):
@@ -197,15 +202,15 @@ def _cmd_pullback(opts):
         return 0, [f"pullback of {sieve_literal(C, S)} along {C.arrow_label(h)}:", f"  {sieve_literal(C, P)}"]
     if "topology" not in opts:
         raise StructuralError("pullback needs either --topology or --sieve")
-    J, _ = _load_topology(opts, C)
+    J, _ = _load_topology(opts, C, caps)
     L = localize(J, C.cod(h))
     P = pullback_local(C, h, L)
     return 0, _local_lines(C, P, f"pullback of {J.name}")
 
 
-def _cmd_check_continuous(opts):
+def _cmd_check_continuous(opts, caps):
     C = _load_category(opts)
-    J, _ = _load_topology(opts, C)
+    J, _ = _load_topology(opts, C, caps)
     f = _find_arrow(C, opts["arrow"])
     verdict = is_continuous(C, f, J)
     if verdict.ok:
@@ -216,10 +221,9 @@ def _cmd_check_continuous(opts):
     ]
 
 
-def _cmd_initial_topology(opts):
+def _cmd_initial_topology(opts, caps):
     C = _load_category(opts)
-    J, _ = _load_topology(opts, C)
-    caps = _caps(opts)
+    J, _ = _load_topology(opts, C, caps)
     x = next((o for o in C.objects if str(o) == opts["object"]), None)
     if x is None:
         raise StructuralError(f"unknown object {opts['object']!r}")
@@ -231,9 +235,8 @@ def _cmd_initial_topology(opts):
     return 0, _local_lines(C, L, "initial topology")
 
 
-def _cmd_enumerate(opts):
+def _cmd_enumerate(opts, caps):
     C = _load_category(opts)
-    caps = _caps(opts)
     found = enumerate_topologies(C, sieve_cap=caps["sieves"], candidate_cap=caps["candidates"])
     lines = [f"{len(found)} topologies on {C.name}"]
     for J in found:
@@ -241,24 +244,22 @@ def _cmd_enumerate(opts):
     return 0, lines
 
 
-def _cmd_meet(opts):
+def _cmd_meet(opts, caps):
     C = _load_category(opts)
-    J1, _ = _load_topology(opts, C)
-    J2, _ = _load_topology(opts, C, key="topology2")
+    J1, _ = _load_topology(opts, C, caps)
+    J2, _ = _load_topology(opts, C, caps, key="topology2")
     return 0, _emit(opts, serialize_topology(meet(J1, J2)))
 
 
-def _cmd_join(opts):
+def _cmd_join(opts, caps):
     C = _load_category(opts)
-    caps = _caps(opts)
-    J1, _ = _load_topology(opts, C)
-    J2, _ = _load_topology(opts, C, key="topology2")
+    J1, _ = _load_topology(opts, C, caps)
+    J2, _ = _load_topology(opts, C, caps, key="topology2")
     return 0, _emit(opts, serialize_topology(join(J1, J2, sieve_cap=caps["sieves"])))
 
 
-def _cmd_find_objects(opts):
+def _cmd_find_objects(opts, caps):
     C = _load_category(opts)
-    caps = _caps(opts)
     found = find_algebraic_objects(C, opts["kind"], candidate_cap=caps["candidates"])
     lines = [f"{len(found)} {opts['kind']} objects in {C.name}"]
     for w in found:
@@ -276,7 +277,7 @@ def _witness_verdict(C, w, abelian=False):
     return check_monoid_object(C, w), "monoid object"
 
 
-def _cmd_check_object(opts):
+def _cmd_check_object(opts, caps):
     C = _load_category(opts)
     w = parse_witness_file(Path(opts["witness"]).read_text(), C, opts["witness"])
     verdict, label = _witness_verdict(C, w, opts.get("abelian", False))
@@ -285,7 +286,7 @@ def _cmd_check_object(opts):
     return 1, [f"{w.carrier} is NOT a {label}", f"failing diagram: {verdict.diagram}", f"  {verdict.detail}"]
 
 
-def _cmd_check_hom(opts):
+def _cmd_check_hom(opts, caps):
     C = _load_category(opts)
     w1 = parse_witness_file(Path(opts["source"]).read_text(), C, opts["source"])
     w2 = parse_witness_file(Path(opts["target"]).read_text(), C, opts["target"])
@@ -296,10 +297,9 @@ def _cmd_check_hom(opts):
     return 1, [f"{C.arrow_label(f)} is NOT a homomorphism", f"failing diagram: {verdict.diagram}", f"  {verdict.detail}"]
 
 
-def _cmd_check_gtop(opts):
+def _cmd_check_gtop(opts, caps):
     C = _load_category(opts)
-    caps = _caps(opts)
-    J, _ = _load_topology(opts, C)
+    J, _ = _load_topology(opts, C, caps)
     if opts.get("functor_level"):
         unit_tok = opts.get("unit")
         if unit_tok is None:
@@ -362,7 +362,7 @@ def run_command(req: CommandRequest):
     if handler is None:
         return 2, f"error: unknown verb {req.verb!r}\nusage: finsite {{{','.join(VERBS)}}}"
     try:
-        code, lines = handler(req.options)
+        code, lines = handler(req.options, _caps(req.options))
     except ParseFailure as e:
         return 2, "\n".join(str(d) for d in e.diagnostics)
     except ResourceError as e:
@@ -383,16 +383,14 @@ def _build_parser():
         for args, kwargs in specs:
             p.add_argument(*args, **kwargs)
         p.add_argument("--cap-sieves", type=int, dest="cap_sieves")
-        p.add_argument("--cap-homs", type=int, dest="cap_homs")
         p.add_argument("--cap-candidates", type=int, dest="cap_candidates")
-        p.add_argument("--seed", type=int, dest="seed")
         p.add_argument("--format", choices=["text"], default="text")
         return p
 
     cat = (("--category",), {"required": True})
     top = (("--topology",), {"required": True})
     out = (("-o", "--output"), {"dest": "output"})
-    add("validate", cat)
+    add("validate", cat, (("--seed",), {"type": int}))
     add(
         "make-category",
         (("--divisor",), {"type": int}),

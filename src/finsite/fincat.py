@@ -184,6 +184,10 @@ class FinCategory:
     def arrow_label(self, a) -> str:
         return str(a)
 
+    def factoring_key(self, a) -> frozenset:
+        """The sieve a generates: a factors through b iff key(a) <= key(b)."""
+        return frozenset(self.compose(a, g) for g in self.arrows_into(self.dom(a)))
+
 
 @dataclass(frozen=True)
 class FinFunction:
@@ -234,8 +238,17 @@ class FinSetCategory:
         except KeyError:
             raise StructuralError(f"unknown object {x!r}") from None
 
+    def _indices(self, x) -> dict:
+        try:
+            return self._index[x]
+        except KeyError:
+            raise StructuralError(f"unknown object {x!r}") from None
+
     def element_index(self, x, e) -> int:
-        return self._index[x][e]
+        try:
+            return self._indices(x)[e]
+        except KeyError:
+            raise StructuralError(f"{e!r} is not an element of {x!r}") from None
 
     def _check_arrow(self, a) -> FinFunction:
         if not isinstance(a, FinFunction):
@@ -257,7 +270,7 @@ class FinSetCategory:
 
     def function(self, x, y, mapping: Mapping) -> FinFunction:
         """Arrow x -> y given element-by-element; must be total into y."""
-        cx, iy = self.carrier(x), self._index[y]
+        cx, iy = self.carrier(x), self._indices(y)
         images = []
         for e in cx:
             if e not in mapping:
@@ -269,7 +282,7 @@ class FinSetCategory:
         return FinFunction(x, y, tuple(images))
 
     def apply(self, a: FinFunction, e):
-        return a.images[self._index[a.dom][e]]
+        return a.images[self.element_index(a.dom, e)]
 
     def compose(self, g: FinFunction, f: FinFunction) -> FinFunction:
         g, f = self._check_arrow(g), self._check_arrow(f)
@@ -314,6 +327,10 @@ class FinSetCategory:
         body = ",".join(repr(v) for v in a.images)
         return f"{a.dom}->{a.cod}[{body}]"
 
+    def factoring_key(self, a) -> frozenset:
+        """The image of a: a factors through b iff key(a) <= key(b)."""
+        return frozenset(self._check_arrow(a).images)
+
 
 def build_finset_category(carriers, name="finset", hom_cap: int = DEFAULT_HOM_CAP) -> FinSetCategory:
     """Build the finite-set category on the given carriers.
@@ -324,10 +341,6 @@ def build_finset_category(carriers, name="finset", hom_cap: int = DEFAULT_HOM_CA
     if not isinstance(carriers, Mapping):
         carriers = dict(carriers)
     return FinSetCategory(name, carriers, hom_cap=hom_cap)
-
-
-def hom_size(C, x, y) -> int:
-    return C.hom_size(x, y)
 
 
 # -- functors ---------------------------------------------------------
@@ -608,24 +621,39 @@ def bang(C, x, t):
     return h[0]
 
 
-def _search_estimate(C, A, B, dual=False):
-    inner = sum(
-        C.hom_size(A, x) * C.hom_size(B, x) if dual else C.hom_size(x, A) * C.hom_size(x, B)
-        for x in C.objects
-    )
-    cones = sum(
-        C.hom_size(A, p) * C.hom_size(B, p) if dual else C.hom_size(p, A) * C.hom_size(p, B)
-        for p in C.objects
-    )
+class _Opposite:
+    """The opposite of a category, as far as the cone search needs it."""
+
+    def __init__(self, C):
+        self.objects = C.objects
+        self._C = C
+
+    def hom(self, x, y):
+        return self._C.hom(y, x)
+
+    def hom_size(self, x, y) -> int:
+        return self._C.hom_size(y, x)
+
+    def compose(self, g, f):
+        return self._C.compose(f, g)
+
+
+def _search_estimate(C, A, B):
+    inner = sum(C.hom_size(x, A) * C.hom_size(x, B) for x in C.objects)
+    cones = sum(C.hom_size(p, A) * C.hom_size(p, B) for p in C.objects)
     return cones * max(inner, 1)
 
 
 def search_product_cones(C, A, B, candidate_cap: int = DEFAULT_CANDIDATE_CAP):
     """All product cones over (A, B), by exhaustive universal-property search."""
+    return _search_cones(C, A, B, candidate_cap, "product")
+
+
+def _search_cones(C, A, B, candidate_cap, what):
     est = _search_estimate(C, A, B)
     if est > candidate_cap:
         raise ResourceError(
-            f"product search over ~{est} candidates exceeds the candidate cap {candidate_cap}",
+            f"{what} search over ~{est} candidates exceeds the candidate cap {candidate_cap}",
             cap_name="candidates",
             cap_value=candidate_cap,
         )
@@ -679,40 +707,13 @@ def binary_product(C, A, B, candidate_cap: int = DEFAULT_CANDIDATE_CAP):
 
 
 def binary_coproduct(C, A, B, candidate_cap: int = DEFAULT_CANDIDATE_CAP):
-    """Coproduct cones over (A, B), by exhaustive search."""
+    """Coproduct cones over (A, B): the product cones of the opposite
+    category, found by the same search on both backends."""
     for o in (A, B):
         if not C.has_object(o):
             raise StructuralError(f"unknown object {o!r}")
-    est = _search_estimate(C, A, B, dual=True)
-    if est > candidate_cap:
-        raise ResourceError(
-            f"coproduct search over ~{est} candidates exceeds the candidate cap {candidate_cap}",
-            cap_name="candidates",
-            cap_value=candidate_cap,
-        )
-    out = []
-    for p in C.objects:
-        for i1 in C.hom(A, p):
-            for i2 in C.hom(B, p):
-                ok = True
-                for x in C.objects:
-                    for f in C.hom(A, x):
-                        for g in C.hom(B, x):
-                            n = sum(
-                                1
-                                for m in C.hom(p, x)
-                                if C.compose(m, i1) == f and C.compose(m, i2) == g
-                            )
-                            if n != 1:
-                                ok = False
-                                break
-                        if not ok:
-                            break
-                    if not ok:
-                        break
-                if ok:
-                    out.append(CoproductCone(A, B, p, i1, i2))
-    return tuple(sorted(out, key=lambda c: (str(c.apex), str(c.i1), str(c.i2))))
+    cones = _search_cones(_Opposite(C), A, B, candidate_cap, "coproduct")
+    return tuple(CoproductCone(A, B, c.apex, c.p1, c.p2) for c in cones)
 
 
 def pair(C, cone: ProductCone, f, g):

@@ -18,10 +18,10 @@ from .algebra import GroupObjectWitness
 from .continuity import (
     CoverPreservationVerdict,
     LocalTopology,
+    initial_local_topology,
     is_continuous_local,
     is_cover_preserving,
     localize,
-    pullback_local,
 )
 from .errors import StructuralError
 from .fincat import Functor, ProductCone
@@ -30,13 +30,11 @@ from .sieves import Sieve
 
 
 def product_local_topology(C, cone: ProductCone, L: LocalTopology) -> LocalTopology:
-    """The localized topology on a product carrier: the intersection of
-    the pullbacks of L along the two projections."""
+    """The localized topology on a product carrier: the initial topology
+    along the two projections, each carrying L."""
     if cone.left != L.base or cone.right != L.base:
         raise StructuralError("cone projections must target the local topology's base")
-    left = pullback_local(C, cone.p1, L)
-    right = pullback_local(C, cone.p2, L)
-    return LocalTopology(cone.apex, left.sieves & right.sieves)
+    return initial_local_topology(C, cone.apex, [(cone.p1, L), (cone.p2, L)])
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ universes exceed any reasonable cap.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -42,9 +43,7 @@ def sieve_universe(C, x, cap: int = DEFAULT_SIEVE_CAP):
 
     Sieves are the down-sets of the factoring preorder on arrows into x
     (a <= b iff a factors through b), so the universe is enumerated as the
-    down-sets of the quotient poset of that preorder.  In a finite-set
-    category the quotient classes are exactly the image subsets, which
-    avoids any pairwise arrow search.
+    down-sets of the quotient poset of that preorder.
     """
     if not C.has_object(x):
         raise StructuralError(f"unknown object {x!r}")
@@ -73,46 +72,17 @@ def sieve_universe(C, x, cap: int = DEFAULT_SIEVE_CAP):
 def _factoring_classes(C, x):
     """Mutual-factoring classes of arrows into x and their strict order.
 
-    Returns ``(classes, below)`` where ``below[i]`` is the set of class
-    indices strictly under class i.
+    An arrow a factors through b exactly when ``C.factoring_key(a)`` is a
+    subset of ``C.factoring_key(b)``, so the classes are the arrows grouped
+    by key.  Returns ``(classes, below)`` where ``below[i]`` is the set of
+    class indices strictly under class i.
     """
-    arrows = C.arrows_into(x)
-    if C.backend == "finset":
-        by_image: dict = {}
-        for a in arrows:
-            by_image.setdefault(frozenset(a.images), []).append(a)
-        keys = sorted(by_image, key=lambda k: (len(k), str(sorted(map(repr, k)))))
-        classes = [tuple(by_image[k]) for k in keys]
-        below = [
-            frozenset(j for j, kj in enumerate(keys) if kj != keys[i] and kj <= keys[i])
-            for i in range(len(keys))
-        ]
-        return classes, below
-    # table backend: pairwise factoring search through the hom-sets
-    arrows = sorted(arrows, key=C.arrow_label)
-    n = len(arrows)
-    leq = [[False] * n for _ in range(n)]
-    for i, a in enumerate(arrows):
-        for j, b in enumerate(arrows):
-            leq[i][j] = any(C.compose(b, g) == a for g in C.hom(C.dom(a), C.dom(b)))
-    cls_of = [-1] * n
-    classes = []
-    for i in range(n):
-        if cls_of[i] >= 0:
-            continue
-        members = [k for k in range(n) if leq[i][k] and leq[k][i]]
-        for k in members:
-            cls_of[k] = len(classes)
-        classes.append(tuple(arrows[k] for k in members))
-    reps = [next(k for k in range(n) if cls_of[k] == i) for i in range(len(classes))]
-    below = [
-        frozenset(
-            j
-            for j in range(len(classes))
-            if j != i and leq[reps[j]][reps[i]]
-        )
-        for i in range(len(classes))
-    ]
+    by_key: dict = {}
+    for a in C.arrows_into(x):
+        by_key.setdefault(C.factoring_key(a), []).append(a)
+    keys = list(by_key)
+    classes = [tuple(by_key[k]) for k in keys]
+    below = [frozenset(j for j, kj in enumerate(keys) if kj < ki) for ki in keys]
     return classes, below
 
 
@@ -181,16 +151,6 @@ class GrothendieckTopology:
         self._contains_fn = contains_fn
         self._basis_fn = basis_fn
 
-    @classmethod
-    def from_covers(cls, category, covers: Mapping, name: str = "", add_maximal: bool = True):
-        full = {}
-        for x, sieves in covers.items():
-            full[x] = set(sieves)
-        if add_maximal:
-            for x in category.objects:
-                full.setdefault(x, set()).add(maximal_sieve(category, x))
-        return cls(category, name=name, covers=full)
-
     def covers(self, x) -> frozenset:
         if x not in self._covers:
             if not self.category.has_object(x):
@@ -257,6 +217,55 @@ class AxiomReport:
         return "\n".join(lines)
 
 
+class _Axioms:
+    """The stability and transitivity passes over a cover assignment.
+
+    ``covers`` maps objects to cover sets; it may be partial, and it may
+    grow between or during the passes.  Both passes share one pullback
+    cache and report in canonical order: by object, then cover, then arrow
+    label.
+    """
+
+    def __init__(self, C, covers):
+        self.C = C
+        self.covers = covers
+        self.pullback = functools.lru_cache(maxsize=None)(functools.partial(pullback_sieve, C))
+        self._sort_key = functools.lru_cache(maxsize=None)(functools.partial(sieve_sort_key, C))
+
+    def ordered(self, sieves):
+        return sorted(sieves, key=self._sort_key)
+
+    def unstable(self):
+        """``(x, S, h, h*(S))`` for every cover S at x and arrow h into x
+        whose pullback is not a cover; arrows out of unassigned objects
+        are skipped."""
+        C, covers = self.C, self.covers
+        for x in sorted(covers, key=str):
+            into = sorted(C.arrows_into(x), key=C.arrow_label)
+            for S in self.ordered(covers[x]):
+                for h in into:
+                    d = C.dom(h)
+                    if d in covers:
+                        P = self.pullback(h, S)
+                        if P not in covers[d]:
+                            yield x, S, h, P
+
+    def unforced(self, universe):
+        """``(x, R, S)`` for every sieve R in ``universe(x)`` that is not a
+        cover although it pulls back to a cover along every member of the
+        cover S; S is the first such cover."""
+        C, covers = self.C, self.covers
+        for x in sorted(covers, key=str):
+            cov = self.ordered(covers[x])
+            for R in universe(x):
+                if R in covers[x]:
+                    continue
+                for S in cov:
+                    if all(self.pullback(h, R) in covers[C.dom(h)] for h in S.members):
+                        yield x, R, S
+                        break
+
+
 def check_axioms(J: GrothendieckTopology, sieve_cap: int = DEFAULT_SIEVE_CAP) -> AxiomReport:
     """Verify maximality, stability and transitivity, exhaustively.
 
@@ -265,57 +274,23 @@ def check_axioms(J: GrothendieckTopology, sieve_cap: int = DEFAULT_SIEVE_CAP) ->
     """
     C = J.category
     violations = []
-    pb_cache: dict = {}
-
-    def pb(h, S):
-        key = (h, S)
-        if key not in pb_cache:
-            pb_cache[key] = pullback_sieve(C, h, S)
-        return pb_cache[key]
-
     covers = {x: J.covers(x) for x in C.objects}
-    objs = sorted(C.objects, key=str)
-    for x in objs:
-        cov = sorted(covers[x], key=lambda s: sieve_sort_key(C, s))
+    axioms = _Axioms(C, covers)
+    for x in sorted(C.objects, key=str):
         tx = maximal_sieve(C, x)
         if tx not in covers[x]:
             violations.append(AxiomViolation("maximality", x, tx, None, "maximal sieve is not a cover"))
-        for S in cov:
+        for S in axioms.ordered(covers[x]):
             if S.base != x:
                 violations.append(AxiomViolation("well-formed", x, S, None, f"sieve based at {S.base!r} stored at {x!r}"))
             elif not is_sieve(C, x, S.members):
                 violations.append(AxiomViolation("well-formed", x, S, None, "stored arrow set is not a sieve"))
-    for x in objs:
-        cov = sorted(covers[x], key=lambda s: sieve_sort_key(C, s))
-        for S in cov:
-            for h in sorted(C.arrows_into(x), key=C.arrow_label):
-                if pb(h, S) not in covers[C.dom(h)]:
-                    violations.append(
-                        AxiomViolation(
-                            "stability",
-                            x,
-                            S,
-                            h,
-                            f"pullback {sieve_literal(C, pb(h, S))} is not a cover at {C.dom(h)!r}",
-                        )
-                    )
-    for x in objs:
-        cov = sorted(covers[x], key=lambda s: sieve_sort_key(C, s))
-        for R in sieve_universe(C, x, sieve_cap):
-            if R in covers[x]:
-                continue
-            for S in cov:
-                if all(pb(h, R) in covers[C.dom(h)] for h in S.members):
-                    violations.append(
-                        AxiomViolation(
-                            "transitivity",
-                            x,
-                            R,
-                            None,
-                            f"forced by cover {sieve_literal(C, S)} but not a cover",
-                        )
-                    )
-                    break
+    for x, S, h, P in axioms.unstable():
+        detail = f"pullback {sieve_literal(C, P)} is not a cover at {C.dom(h)!r}"
+        violations.append(AxiomViolation("stability", x, S, h, detail))
+    for x, R, S in axioms.unforced(lambda x: sieve_universe(C, x, sieve_cap)):
+        detail = f"forced by cover {sieve_literal(C, S)} but not a cover"
+        violations.append(AxiomViolation("transitivity", x, R, None, detail))
     return AxiomReport(not violations, tuple(violations))
 
 
@@ -455,39 +430,32 @@ def enumerate_topologies(
 
     Searches the product of per-object sieve subsets that contain the
     maximal sieve, pruning partial assignments that already break
-    stability, then filtering by the full axiom check.
+    stability, then filtering by the full axiom check.  The size of that
+    product is compared with the candidate cap before any subset is built.
     """
     objs = sorted(C.objects, key=str)
     universes = {x: sieve_universe(C, x, sieve_cap) for x in objs}
-    options = {}
     total = 1
     for x in objs:
-        tx = maximal_sieve(C, x)
-        rest = [S for S in universes[x] if S != tx]
-        opts = []
-        for r in range(len(rest) + 1):
-            for combo in itertools.combinations(rest, r):
-                opts.append(frozenset({tx, *combo}))
-        options[x] = opts
-        total *= len(opts)
+        total *= 2 ** (len(universes[x]) - 1)
         if total > candidate_cap:
             raise ResourceError(
                 f"topology enumeration over ~{total} candidates exceeds the candidate cap {candidate_cap}",
                 cap_name="candidates",
                 cap_value=candidate_cap,
             )
+    options = {}
+    for x in objs:
+        tx = maximal_sieve(C, x)
+        rest = [S for S in universes[x] if S != tx]
+        options[x] = [
+            frozenset({tx, *combo}) for r in range(len(rest) + 1) for combo in itertools.combinations(rest, r)
+        ]
     found = []
+    assigned: dict = {}
+    axioms = _Axioms(C, assigned)
 
-    def stable_so_far(assigned):
-        for x, cov in assigned.items():
-            for S in cov:
-                for h in C.arrows_into(x):
-                    d = C.dom(h)
-                    if d in assigned and pullback_sieve(C, h, S) not in assigned[d]:
-                        return False
-        return True
-
-    def rec(i, assigned):
+    def rec(i):
         if i == len(objs):
             J = GrothendieckTopology(C, covers=dict(assigned))
             if check_axioms(J, sieve_cap).ok:
@@ -496,11 +464,11 @@ def enumerate_topologies(
         x = objs[i]
         for opt in options[x]:
             assigned[x] = opt
-            if stable_so_far(assigned):
-                rec(i + 1, assigned)
-            del assigned[x]
+            if next(axioms.unstable(), None) is None:
+                rec(i + 1)
+        del assigned[x]
 
-    rec(0, {})
+    rec(0)
     found.sort(key=_canonical_key)
     for i, J in enumerate(found):
         J.name = f"J{i}"
@@ -527,9 +495,9 @@ def meet(J1: GrothendieckTopology, J2: GrothendieckTopology) -> GrothendieckTopo
 def generate_topology(C, seed: Mapping, sieve_cap: int = DEFAULT_SIEVE_CAP) -> GrothendieckTopology:
     """The least topology whose covers include the seed sieves.
 
-    Iterates to a fixpoint: insert maximal sieves, close under pullback,
-    then add any sieve all of whose pullbacks along some existing cover
-    are already covers; repeat until stable.
+    Iterates to a fixpoint: insert maximal sieves, then add whatever the
+    stability and transitivity passes report missing, until they report
+    nothing.
     """
     covers: dict = {x: {maximal_sieve(C, x)} for x in C.objects}
     for x, sieves in seed.items():
@@ -542,25 +510,16 @@ def generate_topology(C, seed: Mapping, sieve_cap: int = DEFAULT_SIEVE_CAP) -> G
                 raise StructuralError(f"seed set {sieve_literal(C, S)} is not a sieve on {x!r}")
             covers[x].add(S)
     universes = {x: sieve_universe(C, x, sieve_cap) for x in C.objects}
-    changed = True
-    while changed:
-        changed = False
-        for x in C.objects:
-            for S in list(covers[x]):
-                for h in C.arrows_into(x):
-                    ps = pullback_sieve(C, h, S)
-                    if ps not in covers[C.dom(h)]:
-                        covers[C.dom(h)].add(ps)
-                        changed = True
-        for x in C.objects:
-            for R in universes[x]:
-                if R in covers[x]:
-                    continue
-                for S in covers[x]:
-                    if all(pullback_sieve(C, h, R) in covers[C.dom(h)] for h in S.members):
-                        covers[x].add(R)
-                        changed = True
-                        break
+    axioms = _Axioms(C, covers)
+    grew = True
+    while grew:
+        grew = False
+        for _, _, h, P in axioms.unstable():
+            covers[C.dom(h)].add(P)
+            grew = True
+        for x, R, _ in axioms.unforced(universes.__getitem__):
+            covers[x].add(R)
+            grew = True
     return GrothendieckTopology(C, name="generated", covers=covers)
 
 

@@ -235,7 +235,7 @@ def parse_topology_file(
         r.error("wrong-category", f"topology is declared on {head[3]!r} but the category is {C.name!r}", lineno, line, head[3])
     obj_by_str = {str(x): x for x in C.objects}
     arr_by_str = {str(a): a for a in C.all_arrows()}
-    covers: dict = {x: set() for x in C.objects}
+    covers: dict = {x: {maximal_sieve(C, x)} for x in C.objects}
     for lineno, line in r.lines[1:]:
         m = re.match(r"^\s*cover\s+(\S+)\s*:\s*\{(.*)\}\s*$", line)
         if not m:
@@ -268,7 +268,7 @@ def parse_topology_file(
         if not bad:
             covers[x].add(sieve_closure(C, x, gens))
     r.fail_if_errors()
-    J = GrothendieckTopology.from_covers(C, covers, name=name)
+    J = GrothendieckTopology(C, name=name, covers=covers)
     report = check_axioms(J, sieve_cap) if verify else None
     return J, report
 

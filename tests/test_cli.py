@@ -98,6 +98,12 @@ class TestVerbs:
         )
         assert code == 0 and "at 2" in report
 
+    def test_check_topology_golden_report(self, d12_file):
+        # the broken fixture fails both stability and transitivity
+        code, report = run("check-topology", category=d12_file, topology=str(FIXTURES / "broken12.gtop"))
+        assert code == 1
+        assert report + "\n" == (FIXTURES / "broken12.report").read_text()
+
     def test_check_topology(self, d12_file, dense12):
         code, report = run("check-topology", category=d12_file, topology=dense12)
         assert code == 0 and "pass" in report
@@ -134,6 +140,32 @@ class TestVerbs:
         monkeypatch.setenv("FINSITE_CAP_CANDIDATES", "not-a-number")
         code, report = run("enumerate-topologies", category=arrow_file)
         assert code == 2 and "FINSITE_CAP_CANDIDATES" in report
+
+    def test_cap_of_zero_is_a_real_cap(self, arrow_file):
+        code, report = run("enumerate-topologies", category=arrow_file, cap_candidates=0)
+        assert code == 2 and "candidate cap 0" in report
+        code, report = run("enumerate-topologies", category=arrow_file, cap_sieves=0)
+        assert code == 2 and "more than 0 sieves" in report
+
+    def test_negative_caps_are_rejected(self, arrow_file, monkeypatch):
+        code, report = run("enumerate-topologies", category=arrow_file, cap_candidates=-5)
+        assert code == 2 and "--cap-candidates" in report and "-5" in report
+        assert main(["enumerate-topologies", "--category", arrow_file, "--cap-sieves", "-1"]) == 2
+        monkeypatch.setenv("FINSITE_CAP_SIEVES", "-3")
+        code, report = run("validate", category=arrow_file)
+        assert code == 2 and "FINSITE_CAP_SIEVES" in report
+
+    def test_seed_only_on_validate(self, capsys, d12_file):
+        with pytest.raises(SystemExit) as e:
+            main(["check-topology", "--category", d12_file, "--topology", "x.gtop", "--seed", "3"])
+        assert e.value.code == 2
+        code, report = run("validate", category=d12_file, seed=0)
+        assert code == 0 and report.endswith("seed: 0")
+
+    def test_hom_cap_flag_is_gone(self, arrow_file):
+        with pytest.raises(SystemExit) as e:
+            main(["enumerate-topologies", "--category", arrow_file, "--cap-homs", "5"])
+        assert e.value.code == 2
 
     def test_meet_and_join(self, arrow_file, tmp_path):
         j5 = tmp_path / "j5.gtop"

@@ -232,6 +232,29 @@ class TestFinsetBackend:
         bg = bang(zmod2, "g", "unit")
         assert bg.images == ((), ())
 
+    def test_coproduct_apex_holds_both_carriers(self):
+        C = build_finset_category({"a": (0,), "b": (0, 1), "s": ("p", "q", "r")})
+        cones = binary_coproduct(C, "a", "b")
+        assert len(cones) == 6  # one per bijection of a + b onto s
+        for cone in cones:
+            assert len(C.carrier(cone.apex)) == len(C.carrier("a")) + len(C.carrier("b"))
+            assert set(cone.i1.images) | set(cone.i2.images) == set(C.carrier(cone.apex))
+
+    def test_function_with_unknown_codomain_is_structural(self, zmod2):
+        with pytest.raises(StructuralError, match="unknown object 'nope'"):
+            zmod2.function("g", "nope", {0: 0, 1: 1})
+
+    def test_apply_outside_the_domain_is_structural(self, zmod2):
+        with pytest.raises(StructuralError, match="7 is not an element of 'g'"):
+            zmod2.apply(zmod2.identity("g"), 7)
+
+    def test_element_index_of_unknown_object_or_element_is_structural(self, zmod2):
+        assert zmod2.element_index("g", 1) == 1
+        with pytest.raises(StructuralError, match="unknown object 'nope'"):
+            zmod2.element_index("nope", 0)
+        with pytest.raises(StructuralError, match="7 is not an element of 'g'"):
+            zmod2.element_index("g", 7)
+
     def test_empty_carrier(self):
         C = build_finset_category({"e": [], "x": [0]})
         assert C.hom_size("e", "x") == 1  # the empty map

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,7 @@ from finsite.gtopology import (
     topology_leq,
     trivial_topology,
 )
-from finsite.sieves import Sieve, empty_sieve, maximal_sieve
+from finsite.sieves import Sieve, empty_sieve, maximal_sieve, sieve_closure
 
 from oracles import dense_below, divisor_down_sets
 
@@ -334,3 +336,58 @@ class TestGenerate:
         assert check_axioms(J).ok
         for x, sieves in seed.items():
             assert sieves <= J.covers(x)
+
+
+class TestAxiomEngine:
+    """Outputs pinned against the implementation that had one copy of the
+    stability and transitivity checks per caller."""
+
+    def test_finset_report_orders_stability_by_arrow_label(self):
+        # arrows into b come as hom(b, b) then hom(a, b), not in label order
+        F = build_finset_category({"b": (0, 1), "a": ("x",)}, name="two")
+        S0 = sieve_closure(F, "b", [F.function("b", "b", {0: 0, 1: 0})])
+        J = GrothendieckTopology(F, name="broken", covers={"b": {maximal_sieve(F, "b"), S0}})
+        assert check_axioms(J).summary(F) == (
+            "fail (4 violations)\n"
+            "  [stability] at 'b', sieve {a->b[0], b->b[0,0]}, arrow a->b[1]: pullback {} is not a cover at 'a'\n"
+            "  [stability] at 'b', sieve {a->b[0], b->b[0,0]}, arrow b->b[1,0]: "
+            "pullback {a->b[1], b->b[1,1]} is not a cover at 'b'\n"
+            "  [stability] at 'b', sieve {a->b[0], b->b[0,0]}, arrow b->b[1,1]: pullback {} is not a cover at 'b'\n"
+            "  [transitivity] at 'b', sieve {a->b[0], a->b[1], b->b[0,0], b->b[1,1]}: "
+            "forced by cover {a->b[0], b->b[0,0]} but not a cover"
+        )
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: FinCategory.from_data("point", ["*"], {}),
+            lambda: FinCategory.from_data("arrow", [1, 2], {"f": (1, 2)}),
+            lambda: FinCategory.from_data("cospan", ["X", "Y", "Z"], {"f": ("X", "Z"), "g": ("Y", "Z")}),
+            lambda: FinCategory.from_data("idem", ["*"], {"e": ("*", "*")}, {("e", "e"): "e"}),
+            lambda: FinCategory.from_data("Z2", ["*"], {"g": ("*", "*")}, {("g", "g"): "id_*"}),
+        ],
+        ids=["point", "arrow", "cospan", "idempotent-monoid", "Z2"],
+    )
+    def test_generate_is_meet_of_enumerated_topologies_containing_seed(self, make):
+        C = make()
+        tops = enumerate_topologies(C)
+        singles = [(x, S) for x in C.objects for S in sieve_universe(C, x)]
+        for seed_pairs in itertools.chain(
+            ((p,) for p in singles), itertools.combinations(singles, 2)
+        ):
+            seed = {}
+            for x, S in seed_pairs:
+                seed.setdefault(x, set()).add(S)
+            containing = [J for J in tops if all(S in J.covers(x) for x, S in seed_pairs)]
+            assert generate_topology(C, seed) == functools.reduce(meet, containing)
+
+    def test_enumeration_checks_its_cap_before_building_candidates(self):
+        d30 = build_divisor_poset(30)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError, match=r"~17179869184 candidates exceeds the candidate cap 1000000"):
+                enumerate_topologies(d30)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000
