@@ -44,6 +44,7 @@ from .gtopology import (
     enumerate_topologies,
     join,
     meet,
+    unclosed_cover,
 )
 from .parsing import (
     ParseFailure,
@@ -307,6 +308,13 @@ def _cmd_check_gtop(opts, caps):
         unit = next((o for o in C.objects if str(o) == unit_tok), None)
         if unit is None:
             raise StructuralError(f"unknown unit object {unit_tok!r}")
+        gap = unclosed_cover(J)
+        if gap is not None:
+            x, S, R = gap
+            raise StructuralError(
+                f"--functor-level needs cover sets closed upward: at {x!r}, "
+                f"{sieve_literal(C, R)} contains the cover {sieve_literal(C, S)} but is not a cover"
+            )
         P, _, _ = build_product_category(C, C, caps["candidates"])
         mul = build_lcm_functor(P, C)
         Jp, _ = build_topology(P, opts.get("product_topology", "trivial"), sieve_cap=caps["sieves"], verify=False)

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .errors import DEFAULT_SIEVE_CAP, StructuralError
 from .gtopology import GrothendieckTopology, sieve_universe
-from .sieves import Sieve, maximal_sieve, pullback_sieve, sieve_closure, sieve_sort_key
+from .sieves import Sieve, is_sieve, maximal_sieve, pullback_sieve, sieve_closure, sieve_sort_key
 
 
 @dataclass(frozen=True)
@@ -34,8 +34,6 @@ class LocalTopology:
 def validate_local_topology(C, L: LocalTopology) -> bool:
     """Maximal-sieve membership and sieve-hood of every member: the only
     topology axioms expressible at a single object."""
-    from .sieves import is_sieve
-
     if maximal_sieve(C, L.base) not in L.sieves:
         return False
     return all(S.base == L.base and is_sieve(C, L.base, S.members) for S in L.sieves)
@@ -129,11 +127,12 @@ def is_cover_preserving(
 ) -> CoverPreservationVerdict:
     """Whether the image of every covering sieve generates a cover.
 
-    Quantifies over ``Jdom.basis``: since cover sets are closed upward and
-    sieve generation is monotone, image covers of the basis sieves force
-    image covers of everything above them, so the basis check is
-    equivalent to the full one.  On failure returns the object and the
-    offending covering sieve.
+    Quantifies over ``Jdom.basis``: the whole cover set of an explicit
+    topology, the minimal covers of one built from them.  Every cover
+    contains a basis sieve and sieve generation is monotone, so when the
+    cover sets of ``Jcod`` are closed upward the basis check is equivalent
+    to the full one.  On failure returns the object and the first
+    offending basis sieve.
     """
     C, D = F.dom, F.cod
     if Jdom.category is not C or Jcod.category is not D:

@@ -56,7 +56,7 @@ class FinCategory:
         self._arrows = dict(arrows)
         self._identity = dict(identity)
         self._table = dict(table)
-        self._universe_cache: dict = {}
+        self._sieve_cache: dict = {}
         self._check_structure()
         self._hom: dict = {}
         for a in sorted(self._arrows, key=str):
@@ -227,7 +227,7 @@ class FinSetCategory:
         self._index = {x: {e: i for i, e in enumerate(t)} for x, t in self._carriers.items()}
         self._hom_cache: dict = {}
         self._into_cache: dict = {}
-        self._universe_cache: dict = {}
+        self._sieve_cache: dict = {}
 
     def has_object(self, x) -> bool:
         return x in self._carriers
@@ -253,6 +253,11 @@ class FinSetCategory:
     def _check_arrow(self, a) -> FinFunction:
         if not isinstance(a, FinFunction):
             raise StructuralError(f"not an arrow of a finite-set category: {a!r}")
+        carrier = self._carriers.get(a.dom)
+        if carrier is None or a.cod not in self._carriers:
+            raise StructuralError(f"arrow {a!r} names an object outside {self.name!r}")
+        if len(a.images) != len(carrier):
+            raise StructuralError(f"arrow {a!r} does not give one image per element of {a.dom!r}")
         return a
 
     def dom(self, a):
@@ -289,7 +294,10 @@ class FinSetCategory:
         if f.cod != g.dom:
             raise StructuralError(f"arrows not composable: cod {f.cod!r} != dom {g.dom!r}")
         idx = self._index[g.dom]
-        return FinFunction(f.dom, g.cod, tuple(g.images[idx[y]] for y in f.images))
+        try:
+            return FinFunction(f.dom, g.cod, tuple(g.images[idx[y]] for y in f.images))
+        except KeyError as e:
+            raise StructuralError(f"image {e.args[0]!r} of {f!r} is not in the carrier of {f.cod!r}") from None
 
     def hom_size(self, x, y) -> int:
         return len(self.carrier(y)) ** len(self.carrier(x))
@@ -747,25 +755,6 @@ def pair(C, cone: ProductCone, f, g):
     return meds[0]
 
 
-def copair(C, cone: CoproductCone, f, g):
-    """The mediating arrow out of a coproduct cone for the copair (f, g)."""
-    if C.cod(f) != C.cod(g):
-        raise StructuralError("copairing needs arrows with a common codomain")
-    if C.dom(f) != cone.left or C.dom(g) != cone.right:
-        raise StructuralError("copairing arrows must come from the cone's factors")
-    x = C.cod(f)
-    meds = [
-        m
-        for m in C.hom(cone.apex, x)
-        if C.compose(m, cone.i1) == f and C.compose(m, cone.i2) == g
-    ]
-    if len(meds) != 1:
-        raise UniversalPropertyError(
-            f"expected a unique mediating arrow {cone.apex!r} -> {x!r}, found {len(meds)}"
-        )
-    return meds[0]
-
-
 # -- builders ---------------------------------------------------------
 
 
@@ -889,14 +878,3 @@ def divisor_inclusion_functor(Csub: FinCategory, C: FinCategory) -> Functor:
         else:
             raise StructuralError(f"arrow {a!r} of {Csub.name!r} is not in {C.name!r}")
     return Functor(f"incl_{Csub.name}", Csub, C, {x: x for x in Csub.objects}, arr_map)
-
-
-def product_functor(F: Functor, G: Functor, Pdom: FinCategory, Pcod: FinCategory) -> Functor:
-    """The componentwise functor F x G between product categories."""
-    return Functor(
-        f"{F.name}x{G.name}",
-        Pdom,
-        Pcod,
-        {(x, y): (F.obj(x), G.obj(y)) for (x, y) in Pdom.objects},
-        {(a, b): (F.arr(a), G.arr(b)) for (a, b) in Pdom.all_arrows()},
-    )

@@ -5,10 +5,11 @@ three axioms: the maximal sieve covers, covers are stable under pullback
 along every arrow, and a sieve forced by a cover (all of whose pullbacks
 along the cover's members are covers) is itself a cover.
 
-Cover sets may be stored extensionally or backed by a rule that is
-materialized per object on demand; membership predicates and small bases
-let the named builders stay usable on categories whose full sieve
-universes exceed any reasonable cap.
+A topology is data: either its cover sets, or its minimal covers at each
+object, from which the cover sets (every sieve containing a minimal
+cover) are enumerated only when asked for.  The named builders give
+minimal covers, so membership tests and cover-preservation checks on
+them never need a full sieve universe.
 """
 
 from __future__ import annotations
@@ -35,65 +36,79 @@ from .sieves import (
 )
 
 
-# -- sieve universes ---------------------------------------------------
+# -- sieve enumeration -------------------------------------------------
 
 
 def sieve_universe(C, x, cap: int = DEFAULT_SIEVE_CAP):
-    """All sieves on x, as a sorted tuple.
-
-    Sieves are the down-sets of the factoring preorder on arrows into x
-    (a <= b iff a factors through b), so the universe is enumerated as the
-    down-sets of the quotient poset of that preorder.
-    """
-    if not C.has_object(x):
-        raise StructuralError(f"unknown object {x!r}")
-    cache = C._universe_cache
-    if x in cache:
-        result = cache[x]
-    else:
-        classes, below = _factoring_classes(C, x)
-        ideals = _down_sets(range(len(classes)), below, cap, x)
-        result = tuple(
-            sorted(
-                (Sieve(x, frozenset(itertools.chain.from_iterable(classes[i] for i in ideal))) for ideal in ideals),
-                key=lambda s: sieve_sort_key(C, s),
-            )
-        )
-        cache[x] = result
-    if len(result) > cap:
+    """All sieves on x, as a sorted tuple."""
+    sieves = _sieves_on(C, x)
+    if sieves.universe is None:
+        sieves.universe = tuple(sorted(sieves.above((empty_sieve(x),), cap), key=lambda s: sieve_sort_key(C, s)))
+    if len(sieves.universe) > cap:
         raise ResourceError(
-            f"object {x!r} has {len(result)} sieves, over the sieve cap {cap}",
+            f"object {x!r} has {len(sieves.universe)} sieves, over the sieve cap {cap}",
             cap_name="sieves",
             cap_value=cap,
         )
-    return result
+    return sieves.universe
 
 
-def _factoring_classes(C, x):
-    """Mutual-factoring classes of arrows into x and their strict order.
+def _sieves_on(C, x):
+    """The ``_ObjectSieves`` of x, cached on C."""
+    if x not in C._sieve_cache:
+        C._sieve_cache[x] = _ObjectSieves(C, x)
+    return C._sieve_cache[x]
 
-    An arrow a factors through b exactly when ``C.factoring_key(a)`` is a
-    subset of ``C.factoring_key(b)``, so the classes are the arrows grouped
-    by key.  Returns ``(classes, below)`` where ``below[i]`` is the set of
-    class indices strictly under class i.
+
+class _ObjectSieves:
+    """The sieves on one object, each built once.
+
+    Sieves are the down-sets of the factoring preorder on arrows into x
+    (a <= b iff a factors through b, that is iff ``C.factoring_key(a)`` is
+    a subset of ``C.factoring_key(b)``), so they are enumerated as the
+    down-sets of the poset of mutual-factoring classes.  ``below[i]`` is
+    the set of classes strictly under class i.
     """
-    by_key: dict = {}
-    for a in C.arrows_into(x):
-        by_key.setdefault(C.factoring_key(a), []).append(a)
-    keys = list(by_key)
-    classes = [tuple(by_key[k]) for k in keys]
-    below = [frozenset(j for j, kj in enumerate(keys) if kj < ki) for ki in keys]
-    return classes, below
+
+    def __init__(self, C, x):
+        by_key: dict = {}
+        for a in C.arrows_into(x):
+            by_key.setdefault(C.factoring_key(a), []).append(a)
+        keys = list(by_key)
+        self.x = x
+        self.classes = [tuple(by_key[k]) for k in keys]
+        self.below = [frozenset(j for j, kj in enumerate(keys) if kj < ki) for ki in keys]
+        self.minimal = frozenset(i for i, b in enumerate(self.below) if not b)
+        self.universe = None
+        self._built: dict = {}
+
+    def sieve(self, ideal: frozenset) -> Sieve:
+        """The sieve made of the classes in the down-set ``ideal``."""
+        if ideal not in self._built:
+            self._built[ideal] = Sieve(self.x, frozenset(itertools.chain.from_iterable(self.classes[i] for i in ideal)))
+        return self._built[ideal]
+
+    def ideal(self, S: Sieve) -> frozenset:
+        """The classes that make up the sieve S."""
+        return frozenset(i for i, cls in enumerate(self.classes) if cls[0] in S.members)
+
+    def above(self, bottoms, cap):
+        """Every sieve that contains one of the sieves ``bottoms``."""
+        ideals: set = set()
+        for B in bottoms:
+            _down_sets(self.below, self.ideal(B), cap, self.x, ideals)
+        return [self.sieve(ideal) for ideal in ideals]
 
 
-def _down_sets(indices, below, cap, obj):
-    """Down-sets of a finite poset given by strict lower sets, cap-guarded."""
-    order = sorted(indices, key=lambda i: (len(below[i]), i))
-    out = []
+def _down_sets(below, seed, cap, obj, out):
+    """Add to ``out`` every down-set containing the down-set ``seed`` of a
+    finite poset given by strict lower sets; raise once ``out`` holds more
+    than ``cap``."""
+    order = sorted((i for i in range(len(below)) if i not in seed), key=lambda i: (len(below[i]), i))
 
     def rec(pos, current):
         if pos == len(order):
-            out.append(frozenset(current))
+            out.add(frozenset(current))
             if len(out) > cap:
                 raise ResourceError(
                     f"object {obj!r} has more than {cap} sieves",
@@ -108,22 +123,25 @@ def _down_sets(indices, below, cap, obj):
             rec(pos + 1, current)
             current.discard(i)
 
-    rec(0, set())
-    return out
+    rec(0, set(seed))
 
 
 # -- the topology type -------------------------------------------------
 
 
 class GrothendieckTopology:
-    """Per-object sets of covering sieves on a finite category.
+    """Per-object sets of covering sieves on a finite category, given in
+    exactly one of two forms:
 
-    ``covers(x)`` materializes the cover set at one object (memoized when
-    rule-backed); ``contains`` and ``basis`` default to the materialized
-    set but builders override them with cheap predicates and small
-    generating families, which is what keeps checks on large categories
-    tractable.  A basis at x is a subset of the covers such that every
-    cover refines (contains) some basis element.
+    * ``covers`` maps objects to cover sets (an object left out gets the
+      maximal sieve alone).  Parsed, enumerated, generated and met
+      topologies take this form; they need not satisfy the axioms.
+    * ``basis(x)`` returns the minimal covers at x; the covers at x are the
+      sieves that contain one of them, enumerated on first use under
+      ``sieve_cap``.  The named builders take this form.
+
+    The ``basis`` method returns the sorted cover set in the first form
+    and the sorted minimal covers in the second.
     """
 
     def __init__(
@@ -131,15 +149,17 @@ class GrothendieckTopology:
         category,
         name: str = "",
         covers: Mapping | None = None,
-        rule: Callable | None = None,
-        contains_fn: Callable | None = None,
-        basis_fn: Callable | None = None,
+        basis: Callable | None = None,
+        sieve_cap: int = DEFAULT_SIEVE_CAP,
     ):
-        if covers is None and rule is None:
-            raise StructuralError("a topology needs either explicit covers or a rule")
+        if (covers is None) == (basis is None):
+            raise StructuralError("a topology needs exactly one of explicit covers and a basis")
         self.category = category
         self.name = name
         self._covers: dict = {}
+        self._basis: dict = {}
+        self._minimal_covers = basis
+        self._sieve_cap = sieve_cap
         if covers is not None:
             for x, sieves in covers.items():
                 if not category.has_object(x):
@@ -147,31 +167,27 @@ class GrothendieckTopology:
                 self._covers[x] = frozenset(sieves)
             for x in category.objects:
                 self._covers.setdefault(x, frozenset({maximal_sieve(category, x)}))
-        self._rule = rule
-        self._contains_fn = contains_fn
-        self._basis_fn = basis_fn
 
     def covers(self, x) -> frozenset:
         if x not in self._covers:
-            if not self.category.has_object(x):
-                raise StructuralError(f"unknown object {x!r}")
-            self._covers[x] = frozenset(self._rule(x))
+            self._covers[x] = frozenset(_sieves_on(self.category, x).above(self.basis(x), self._sieve_cap))
         return self._covers[x]
 
     def covers_map(self) -> dict:
         return {x: self.covers(x) for x in self.category.objects}
 
     def contains(self, S: Sieve) -> bool:
-        if self._contains_fn is not None:
-            return self._contains_fn(S)
-        return S in self.covers(S.base)
+        if self._minimal_covers is None:
+            return S in self.covers(S.base)
+        return any(B.members <= S.members for B in self.basis(S.base))
 
     def basis(self, x):
-        if self._basis_fn is not None:
-            b = self._basis_fn(x)
-            if b is not None:
-                return tuple(sorted(b, key=lambda s: sieve_sort_key(self.category, s)))
-        return tuple(sorted(self.covers(x), key=lambda s: sieve_sort_key(self.category, s)))
+        if x not in self._basis:
+            if not self.category.has_object(x):
+                raise StructuralError(f"unknown object {x!r}")
+            sieves = self._covers[x] if self._minimal_covers is None else self._minimal_covers(x)
+            self._basis[x] = tuple(sorted(sieves, key=lambda s: sieve_sort_key(self.category, s)))
+        return self._basis[x]
 
     def __eq__(self, other):
         if not isinstance(other, GrothendieckTopology):
@@ -187,6 +203,24 @@ def topology_leq(J1: GrothendieckTopology, J2: GrothendieckTopology) -> bool:
     if J1.category is not J2.category:
         raise StructuralError("topologies live on different categories")
     return all(J1.covers(x) <= J2.covers(x) for x in J1.category.objects)
+
+
+def unclosed_cover(J: GrothendieckTopology):
+    """``(x, S, R)`` for the first cover S at x that grows by one factoring
+    class into a sieve R that is not a cover, or None when every cover set
+    of J is closed upward.  One class at a time reaches every larger sieve,
+    so this one pass decides upward closure."""
+    C = J.category
+    for x in sorted(C.objects, key=str):
+        sieves, cov = _sieves_on(C, x), J.covers(x)
+        for S in sorted(cov, key=lambda s: sieve_sort_key(C, s)):
+            ideal = sieves.ideal(S)
+            for i, b in enumerate(sieves.below):
+                if i not in ideal and b <= ideal:
+                    R = sieves.sieve(ideal | {i})
+                    if R not in cov:
+                        return x, S, R
+    return None
 
 
 # -- axiom checking ----------------------------------------------------
@@ -297,103 +331,56 @@ def check_axioms(J: GrothendieckTopology, sieve_cap: int = DEFAULT_SIEVE_CAP) ->
 # -- named builders ----------------------------------------------------
 
 
-def _global_source(C):
-    """An object with at least one arrow to every object, if any.
-
-    Used to shrink the existential in the density test: for a right ideal
-    S and f into x, some g with f.g in S exists iff one exists with
-    domain the global source.
-    """
-    best = None
-    best_cost = None
-    for p in sorted(C.objects, key=str):
-        sizes = [C.hom_size(p, e) for e in C.objects]
-        if all(s >= 1 for s in sizes):
-            cost = sum(sizes)
-            if best is None or cost < best_cost:
-                best, best_cost = p, cost
-    return best
-
-
 def is_dense_sieve(C, S: Sieve) -> bool:
     """Double-negation density: every arrow into the base meets S after
-    further precomposition."""
-    probe = _global_source(C)
-    for f in C.arrows_into(S.base):
-        d = C.dom(f)
-        candidates = C.hom(probe, d) if probe is not None else C.arrows_into(d)
-        if not any(C.compose(f, g) in S.members for g in candidates):
-            return False
-    return True
+    further precomposition.
+
+    The composites f.g are the arrows that factor through f, and every
+    arrow lies above a minimal factoring class, so S is dense iff it meets
+    every minimal class.
+    """
+    sieves = _sieves_on(C, S.base)
+    return all(not S.members.isdisjoint(sieves.classes[i]) for i in sieves.minimal)
 
 
-def _is_thin(C) -> bool:
-    return all(C.hom_size(x, y) <= 1 for x in C.objects for y in C.objects)
-
-
-def trivial_topology(C) -> GrothendieckTopology:
+def trivial_topology(C, sieve_cap: int = DEFAULT_SIEVE_CAP) -> GrothendieckTopology:
     """Only the maximal sieve covers, at every object."""
-    return GrothendieckTopology(
-        C,
-        name="trivial",
-        rule=lambda x: frozenset({maximal_sieve(C, x)}),
-        contains_fn=lambda S: S.members == frozenset(C.arrows_into(S.base)),
-        basis_fn=lambda x: (maximal_sieve(C, x),),
-    )
+    return GrothendieckTopology(C, "trivial", basis=lambda x: (maximal_sieve(C, x),), sieve_cap=sieve_cap)
 
 
 def discrete_topology(C, sieve_cap: int = DEFAULT_SIEVE_CAP) -> GrothendieckTopology:
     """Every sieve covers."""
-    return GrothendieckTopology(
-        C,
-        name="discrete",
-        rule=lambda x: frozenset(sieve_universe(C, x, sieve_cap)),
-        contains_fn=lambda S: True,
-        basis_fn=lambda x: (empty_sieve(x),),
-    )
+    return GrothendieckTopology(C, "discrete", basis=lambda x: (empty_sieve(x),), sieve_cap=sieve_cap)
 
 
 def dense_topology(C, sieve_cap: int = DEFAULT_SIEVE_CAP) -> GrothendieckTopology:
     """The dense sieves cover.
 
-    On a thin category with a global source the unique minimal dense
-    sieve is generated by the arrow from that source, which gives a
-    one-element basis; otherwise the basis falls back to the full cover
-    set.
+    A sieve is dense iff it contains every minimal factoring class (see
+    ``is_dense_sieve``), so the least dense sieve at each object is the
+    union of those classes.
     """
-    basis_fn = None
-    if _is_thin(C):
-        src = _global_source(C)
-        if src is not None:
-            from .sieves import sieve_closure
 
-            def basis_fn(x):
-                return (sieve_closure(C, x, C.hom(src, x)),)
+    def basis(x):
+        sieves = _sieves_on(C, x)
+        return (sieves.sieve(sieves.minimal),)
 
-    return GrothendieckTopology(
-        C,
-        name="dense",
-        rule=lambda x: frozenset(S for S in sieve_universe(C, x, sieve_cap) if is_dense_sieve(C, S)),
-        contains_fn=lambda S: is_dense_sieve(C, S),
-        basis_fn=basis_fn,
-    )
+    return GrothendieckTopology(C, "dense", basis=basis, sieve_cap=sieve_cap)
 
 
 def atomic_topology(C, sieve_cap: int = DEFAULT_SIEVE_CAP) -> GrothendieckTopology:
     """The nonempty sieves cover; a candidate that need not satisfy the
-    stability axiom (the builder's verdict says whether it does)."""
-    from .sieves import sieve_closure
+    stability axiom (the builder's verdict says whether it does).
 
-    def basis_fn(x):
-        return frozenset(sieve_closure(C, x, (f,)) for f in C.arrows_into(x))
+    The minimal covers are the principal sieves of the minimal factoring
+    classes, which are those classes alone.
+    """
 
-    return GrothendieckTopology(
-        C,
-        name="atomic",
-        rule=lambda x: frozenset(S for S in sieve_universe(C, x, sieve_cap) if S.members),
-        contains_fn=lambda S: bool(S.members),
-        basis_fn=basis_fn,
-    )
+    def basis(x):
+        sieves = _sieves_on(C, x)
+        return tuple(sieves.sieve(frozenset({i})) for i in sieves.minimal)
+
+    return GrothendieckTopology(C, "atomic", basis=basis, sieve_cap=sieve_cap)
 
 
 _BUILDERS = {
@@ -412,8 +399,7 @@ def build_topology(C, kind: str, sieve_cap: int = DEFAULT_SIEVE_CAP, verify: boo
     """
     if kind not in _BUILDERS:
         raise StructuralError(f"unknown topology kind {kind!r}; expected one of {sorted(_BUILDERS)}")
-    builder = _BUILDERS[kind]
-    J = builder(C) if kind == "trivial" else builder(C, sieve_cap)
+    J = _BUILDERS[kind](C, sieve_cap)
     report = check_axioms(J, sieve_cap) if verify else None
     return J, report
 

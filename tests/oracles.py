@@ -58,3 +58,46 @@ def all_subsets(items):
     items = list(items)
     for r in range(len(items) + 1):
         yield from (frozenset(c) for c in combinations(items, r))
+
+
+# -- sieves of an arbitrary finite category, by brute force ---------------
+#
+# These take a category through its protocol (``arrows_into``, ``dom``,
+# ``compose``) and sieves as plain frozensets of arrows into one object.
+
+
+def sieves_on(C, x) -> set[frozenset]:
+    """All sieves on x: the unions of principal sieves, found by closing
+    {empty} under union with each principal sieve."""
+    principal = {frozenset(C.compose(f, g) for g in C.arrows_into(C.dom(f))) for f in C.arrows_into(x)}
+    found = {frozenset()}
+    frontier = [frozenset()]
+    while frontier:
+        S = frontier.pop()
+        for P in principal:
+            if S | P not in found:
+                found.add(S | P)
+                frontier.append(S | P)
+    return found
+
+
+def is_maximal(C, x, S) -> bool:
+    return S == frozenset(C.arrows_into(x))
+
+
+def is_any(C, x, S) -> bool:
+    return True
+
+
+def is_nonempty(C, x, S) -> bool:
+    return bool(S)
+
+
+def is_dense(C, x, S) -> bool:
+    """For every f into x, some f.g lies in S."""
+    return all(any(C.compose(f, g) in S for g in C.arrows_into(C.dom(f))) for f in C.arrows_into(x))
+
+
+def minimal(sets) -> set[frozenset]:
+    sets = set(sets)
+    return {S for S in sets if not any(T < S for T in sets)}

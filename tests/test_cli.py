@@ -147,6 +147,13 @@ class TestVerbs:
         code, report = run("enumerate-topologies", category=arrow_file, cap_sieves=0)
         assert code == 2 and "more than 0 sieves" in report
 
+    def test_cap_of_zero_stops_even_the_trivial_topology(self, arrow_file):
+        # the sieve cap counts a named topology's covers, and the maximal sieve is one
+        code, report = run("make-topology", category=arrow_file, kind="trivial", verify=False, cap_sieves=0)
+        assert code == 2 and "more than 0 sieves" in report
+        code, _ = run("make-topology", category=arrow_file, kind="trivial", verify=False, cap_sieves=1)
+        assert code == 0
+
     def test_negative_caps_are_rejected(self, arrow_file, monkeypatch):
         code, report = run("enumerate-topologies", category=arrow_file, cap_candidates=-5)
         assert code == 2 and "--cap-candidates" in report and "-5" in report
@@ -218,6 +225,58 @@ class TestVerbs:
         )
         assert code == 0
         assert "functor-level" in report and "cover-preserving: True" in report
+
+    def test_check_gtop_functor_level_rejects_covers_not_closed_upward(self, d12_file, tmp_path):
+        top = tmp_path / "gap.gtop"
+        top.write_text("topology gap on D_12\ncover 12 : {1|12}\n")
+        code, report = run(
+            "check-gtop", category=d12_file, topology=str(top), functor_level=True, unit="1", product_topology="atomic"
+        )
+        assert code == 2
+        assert "closed upward" in report and "contains the cover {1|12} but is not a cover" in report
+
+
+@pytest.fixture(scope="module")
+def d36_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("d36") / "d36.cat"
+    assert run("make-category", divisor=36, output=str(path))[0] == 0
+    return str(path)
+
+
+class TestGoldenReports:
+    @pytest.mark.parametrize("kind", ["trivial", "discrete", "dense", "atomic"])
+    def test_make_topology_on_d60(self, tmp_path, kind):
+        cat = tmp_path / "d60.cat"
+        assert run("make-category", divisor=60, output=str(cat))[0] == 0
+        code, report = run("make-topology", category=str(cat), kind=kind)
+        assert code == 0
+        assert report + "\n" == (FIXTURES / f"d60-{kind}.report").read_text()
+
+    def test_trivial_on_a_large_product_needs_no_sieve_universe(self, tmp_path, d36_file):
+        product = tmp_path / "p.cat"
+        assert run("make-category", product=[d36_file, d36_file], output=str(product))[0] == 0
+        code, report = run("make-topology", category=str(product), kind="trivial", verify=False)
+        assert (code, report) == (0, "topology trivial on D_36xD_36\naxioms: not checked (--no-verify)")
+
+    @pytest.mark.parametrize(
+        "cod_kind, code, tail",
+        [
+            ("trivial", 1, ["cover-preserving: False", "  witness: object ('1', '12'), cover {('id_1', '1|12')}"]),
+            ("dense", 0, ["cover-preserving: True"]),
+        ],
+    )
+    def test_functor_level_check_gtop_with_atomic_product(self, tmp_path, d36_file, cod_kind, code, tail):
+        top = tmp_path / "cod.gtop"
+        assert run("make-topology", category=d36_file, kind=cod_kind, output=str(top))[0] == 0
+        got = run(
+            "check-gtop", category=d36_file, topology=str(top), functor_level=True, unit="1", product_topology="atomic"
+        )
+        head = [
+            "reading: functor-level (multiplication functor on the product category)",
+            "associative: True",
+            "unital: True",
+        ]
+        assert got == (code, "\n".join(head + tail))
 
 
 class TestDeterminism:

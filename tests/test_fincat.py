@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from finsite.errors import DomainError, ResourceError, StructuralError
 from finsite.fincat import (
     FinCategory,
+    FinFunction,
     Path,
     bang,
     binary_coproduct,
@@ -254,6 +255,20 @@ class TestFinsetBackend:
             zmod2.element_index("nope", 0)
         with pytest.raises(StructuralError, match="7 is not an element of 'g'"):
             zmod2.element_index("g", 7)
+
+    def test_hand_built_arrow_on_an_unknown_object_is_structural(self, zmod2):
+        with pytest.raises(StructuralError, match="outside 'zmod2'"):
+            zmod2.is_identity(FinFunction("nope", "nope", ()))
+
+    def test_composite_into_an_unknown_object_is_structural(self, zmod2):
+        with pytest.raises(StructuralError, match="outside 'zmod2'"):
+            zmod2.compose(FinFunction("g", "nope", (0, 0)), zmod2.identity("g"))
+
+    def test_image_outside_the_carrier_is_structural(self, zmod2):
+        with pytest.raises(StructuralError, match="image 5 .* not in the carrier of 'g'"):
+            zmod2.compose(zmod2.identity("g"), FinFunction("g", "g", (0, 5)))
+        with pytest.raises(StructuralError, match="one image per element of 'g'"):
+            zmod2.compose(zmod2.identity("g"), FinFunction("g", "g", (0,)))
 
     def test_empty_carrier(self):
         C = build_finset_category({"e": [], "x": [0]})

@@ -25,6 +25,7 @@ from finsite.gtopology import (
 )
 from finsite.sieves import Sieve, empty_sieve, maximal_sieve, sieve_closure
 
+import oracles
 from oracles import dense_below, divisor_down_sets
 
 
@@ -151,6 +152,20 @@ class TestDenseTopology:
             cov = J.covers(x)
             for S in sieve_universe(d12, x):
                 assert J.contains(S) == (S in cov)
+
+    def test_sieve_cap_counts_covers_not_the_universe(self, d12):
+        assert len(dense_topology(d12, sieve_cap=9).covers(12)) == 9
+        assert len(sieve_universe(d12, 12)) == 10
+        with pytest.raises(ResourceError, match="more than 8 sieves"):
+            dense_topology(d12, sieve_cap=8).covers(12)
+
+    def test_contains_and_basis_need_no_sieve_universe(self, d12):
+        J = dense_topology(d12, sieve_cap=1)
+        assert len(J.basis(12)) == 1
+        assert J.contains(maximal_sieve(d12, 12))
+        assert not J.contains(empty_sieve(12))
+        with pytest.raises(ResourceError):
+            sieve_universe(d12, 12, 1)
 
     def test_basis_is_minimal_dense_sieve(self, d12):
         J = dense_topology(d12)
@@ -391,3 +406,99 @@ class TestAxiomEngine:
         finally:
             tracemalloc.stop()
         assert peak < 5_000_000
+
+
+# -- the named builders against brute-force oracles on generated categories
+
+
+@st.composite
+def posets(draw):
+    """A random finite poset on 1-5 points as a thin category."""
+    k = draw(st.integers(1, 5))
+    rel = {(i, j) for i in range(k) for j in range(i + 1, k) if draw(st.booleans())}
+    for m in range(k):  # transitive closure through each middle point in turn
+        rel |= {(i, j) for (i, a) in rel for (b, j) in rel if a == m == b}
+    arrows = {f"{i}<{j}": (i, j) for i, j in rel}
+    compose = {(f"{b}<{c}", f"{a}<{b}"): f"{a}<{c}" for a, b in rel for b2, c in rel if b == b2}
+    return FinCategory.from_data("poset", list(range(k)), arrows, compose)
+
+
+@st.composite
+def transformation_monoids(draw):
+    """The monoid generated by random self-maps of a 2- or 3-element set,
+    as a one-object category; the map t sends i to t[i]."""
+    n = draw(st.integers(2, 3))
+    maps = st.tuples(*[st.integers(0, n - 1)] * n)
+    ident = tuple(range(n))
+    elems = {ident} | set(draw(st.lists(maps, min_size=1, max_size=3)))
+    while True:
+        more = {tuple(g[i] for i in f) for f in elems for g in elems} - elems
+        if not more:
+            break
+        elems |= more
+
+    def name(t):
+        return "id_*" if t == ident else "m" + "".join(map(str, t))
+
+    arrows = {name(t): ("*", "*") for t in elems if t != ident}
+    compose = {(name(g), name(f)): name(tuple(g[i] for i in f)) for f in elems for g in elems}
+    return FinCategory.from_data("monoid", ["*"], arrows, compose)
+
+
+@st.composite
+def finset_families(draw):
+    """Finite-set categories with an empty carrier and one or two more."""
+    sizes = draw(st.lists(st.integers(1, 2), min_size=1, max_size=2))
+    return build_finset_category({"e": (), **{f"c{i}": tuple(range(s)) for i, s in enumerate(sizes)}})
+
+
+BUILDER_ORACLES = {
+    "trivial": oracles.is_maximal,
+    "discrete": oracles.is_any,
+    "dense": oracles.is_dense,
+    "atomic": oracles.is_nonempty,
+}
+
+
+class TestBuildersAgainstOracles:
+    def check(self, C):
+        for kind, predicate in BUILDER_ORACLES.items():
+            J, _ = build_topology(C, kind, verify=False)
+            for x in C.objects:
+                universe = oracles.sieves_on(C, x)
+                expected = {S for S in universe if predicate(C, x, S)}
+                assert {S.members for S in J.covers(x)} == expected, (kind, x)
+                assert {B.members for B in J.basis(x)} == oracles.minimal(expected), (kind, x)
+                for S in universe:
+                    assert J.contains(Sieve(x, S)) == (S in expected), (kind, x, S)
+        for x in C.objects:
+            for S in oracles.sieves_on(C, x) | {frozenset({a}) for a in C.arrows_into(x)}:
+                assert is_dense_sieve(C, Sieve(x, S)) == oracles.is_dense(C, x, S), (x, S)
+
+    @given(posets())
+    @settings(max_examples=30, deadline=None)
+    def test_random_posets(self, C):
+        self.check(C)
+
+    @given(transformation_monoids())
+    @settings(max_examples=30, deadline=None)
+    def test_transformation_monoids(self, C):
+        self.check(C)
+
+    @given(finset_families())
+    @settings(max_examples=10, deadline=None)
+    def test_finset_families_with_an_empty_carrier(self, C):
+        self.check(C)
+
+
+def test_dense_covers_run_no_density_test(monkeypatch):
+    # not thin: hom(g, g) has four arrows.  The least dense sieve comes from
+    # the factoring classes of the arrows into g2, one hom-set per object.
+    C = build_finset_category({"unit": ((),), "g": (0, 1), "g2": ((0, 0), (0, 1), (1, 0), (1, 1))})
+    calls = []
+    original = type(C).hom_size
+    monkeypatch.setattr(type(C), "hom_size", lambda self, x, y: calls.append((x, y)) or original(self, x, y))
+    J = dense_topology(C)
+    assert len(J.covers("g2")) == 114
+    assert len(sieve_universe(C, "g2")) == 167
+    assert len(calls) <= len(C.objects)
