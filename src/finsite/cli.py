@@ -55,7 +55,7 @@ from .parsing import (
     serialize_topology,
     serialize_witness,
 )
-from .sieves import sieve_closure, sieve_literal, sieve_sort_key
+from .sieves import sieve_closure, sieve_literal, sorted_sieves
 
 VERBS = (
     "validate",
@@ -136,7 +136,7 @@ def _emit(opts, text):
 
 def _local_lines(C, L, label):
     lines = [f"{label} at {L.base} ({len(L.sieves)} sieves):"]
-    for S in sorted(L.sieves, key=lambda s: sieve_sort_key(C, s)):
+    for S in sorted_sieves(C, L.sieves):
         lines.append(f"  {sieve_literal(C, S)}")
     return lines
 
@@ -392,7 +392,6 @@ def _build_parser():
             p.add_argument(*args, **kwargs)
         p.add_argument("--cap-sieves", type=int, dest="cap_sieves")
         p.add_argument("--cap-candidates", type=int, dest="cap_candidates")
-        p.add_argument("--format", choices=["text"], default="text")
         return p
 
     cat = (("--category",), {"required": True})

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .errors import DEFAULT_SIEVE_CAP, StructuralError
 from .gtopology import GrothendieckTopology, sieve_universe
-from .sieves import Sieve, is_sieve, maximal_sieve, pullback_sieve, sieve_closure, sieve_sort_key
+from .sieves import Sieve, is_sieve, maximal_sieve, pullback_sieve, sieve_closure, sorted_sieves
 
 
 @dataclass(frozen=True)
@@ -73,9 +73,9 @@ def is_continuous_local(C, f, Ldom: LocalTopology, Lcod: LocalTopology) -> Conti
     if Ldom.base != C.dom(f) or Lcod.base != C.cod(f):
         raise StructuralError("local topologies do not match the arrow's endpoints")
     pulled = pullback_local(C, f, Lcod).sieves
-    for S in sorted(Ldom.sieves, key=lambda s: sieve_sort_key(C, s)):
-        if S not in pulled:
-            return ContinuityVerdict(False, S)
+    failing = [S for S in Ldom.sieves if S not in pulled]
+    if failing:
+        return ContinuityVerdict(False, sorted_sieves(C, failing)[0])
     return ContinuityVerdict(True)
 
 

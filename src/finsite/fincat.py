@@ -225,6 +225,7 @@ class FinSetCategory:
             raise StructuralError("a finite-set category needs at least one carrier")
         self.objects = tuple(self._carriers)
         self._index = {x: {e: i for i, e in enumerate(t)} for x, t in self._carriers.items()}
+        self._elements = {x: frozenset(t) for x, t in self._carriers.items()}
         self._hom_cache: dict = {}
         self._into_cache: dict = {}
         self._sieve_cache: dict = {}
@@ -293,6 +294,10 @@ class FinSetCategory:
         g, f = self._check_arrow(g), self._check_arrow(f)
         if f.cod != g.dom:
             raise StructuralError(f"arrows not composable: cod {f.cod!r} != dom {g.dom!r}")
+        cod = self._elements[g.cod]
+        if not cod.issuperset(g.images):
+            bad = next(v for v in g.images if v not in cod)
+            raise StructuralError(f"image {bad!r} of {g!r} is not in the carrier of {g.cod!r}")
         idx = self._index[g.dom]
         try:
             return FinFunction(f.dom, g.cod, tuple(g.images[idx[y]] for y in f.images))
@@ -332,7 +337,7 @@ class FinSetCategory:
 
     def arrow_label(self, a) -> str:
         a = self._check_arrow(a)
-        body = ",".join(repr(v) for v in a.images)
+        body = ",".join(map(repr, a.images))
         return f"{a.dom}->{a.cod}[{body}]"
 
     def factoring_key(self, a) -> frozenset:

@@ -27,12 +27,13 @@ from .errors import (
 )
 from .sieves import (
     Sieve,
+    _sieves_on,
     empty_sieve,
     is_sieve,
     maximal_sieve,
     pullback_sieve,
     sieve_literal,
-    sieve_sort_key,
+    sorted_sieves,
 )
 
 
@@ -43,7 +44,7 @@ def sieve_universe(C, x, cap: int = DEFAULT_SIEVE_CAP):
     """All sieves on x, as a sorted tuple."""
     sieves = _sieves_on(C, x)
     if sieves.universe is None:
-        sieves.universe = tuple(sorted(sieves.above((empty_sieve(x),), cap), key=lambda s: sieve_sort_key(C, s)))
+        sieves.universe = tuple(sorted_sieves(C, sieves.above((empty_sieve(x),), cap)))
     if len(sieves.universe) > cap:
         raise ResourceError(
             f"object {x!r} has {len(sieves.universe)} sieves, over the sieve cap {cap}",
@@ -51,79 +52,6 @@ def sieve_universe(C, x, cap: int = DEFAULT_SIEVE_CAP):
             cap_value=cap,
         )
     return sieves.universe
-
-
-def _sieves_on(C, x):
-    """The ``_ObjectSieves`` of x, cached on C."""
-    if x not in C._sieve_cache:
-        C._sieve_cache[x] = _ObjectSieves(C, x)
-    return C._sieve_cache[x]
-
-
-class _ObjectSieves:
-    """The sieves on one object, each built once.
-
-    Sieves are the down-sets of the factoring preorder on arrows into x
-    (a <= b iff a factors through b, that is iff ``C.factoring_key(a)`` is
-    a subset of ``C.factoring_key(b)``), so they are enumerated as the
-    down-sets of the poset of mutual-factoring classes.  ``below[i]`` is
-    the set of classes strictly under class i.
-    """
-
-    def __init__(self, C, x):
-        by_key: dict = {}
-        for a in C.arrows_into(x):
-            by_key.setdefault(C.factoring_key(a), []).append(a)
-        keys = list(by_key)
-        self.x = x
-        self.classes = [tuple(by_key[k]) for k in keys]
-        self.below = [frozenset(j for j, kj in enumerate(keys) if kj < ki) for ki in keys]
-        self.minimal = frozenset(i for i, b in enumerate(self.below) if not b)
-        self.universe = None
-        self._built: dict = {}
-
-    def sieve(self, ideal: frozenset) -> Sieve:
-        """The sieve made of the classes in the down-set ``ideal``."""
-        if ideal not in self._built:
-            self._built[ideal] = Sieve(self.x, frozenset(itertools.chain.from_iterable(self.classes[i] for i in ideal)))
-        return self._built[ideal]
-
-    def ideal(self, S: Sieve) -> frozenset:
-        """The classes that make up the sieve S."""
-        return frozenset(i for i, cls in enumerate(self.classes) if cls[0] in S.members)
-
-    def above(self, bottoms, cap):
-        """Every sieve that contains one of the sieves ``bottoms``."""
-        ideals: set = set()
-        for B in bottoms:
-            _down_sets(self.below, self.ideal(B), cap, self.x, ideals)
-        return [self.sieve(ideal) for ideal in ideals]
-
-
-def _down_sets(below, seed, cap, obj, out):
-    """Add to ``out`` every down-set containing the down-set ``seed`` of a
-    finite poset given by strict lower sets; raise once ``out`` holds more
-    than ``cap``."""
-    order = sorted((i for i in range(len(below)) if i not in seed), key=lambda i: (len(below[i]), i))
-
-    def rec(pos, current):
-        if pos == len(order):
-            out.add(frozenset(current))
-            if len(out) > cap:
-                raise ResourceError(
-                    f"object {obj!r} has more than {cap} sieves",
-                    cap_name="sieves",
-                    cap_value=cap,
-                )
-            return
-        i = order[pos]
-        rec(pos + 1, current)
-        if below[i] <= current:
-            current.add(i)
-            rec(pos + 1, current)
-            current.discard(i)
-
-    rec(0, set(seed))
 
 
 # -- the topology type -------------------------------------------------
@@ -186,7 +114,7 @@ class GrothendieckTopology:
             if not self.category.has_object(x):
                 raise StructuralError(f"unknown object {x!r}")
             sieves = self._covers[x] if self._minimal_covers is None else self._minimal_covers(x)
-            self._basis[x] = tuple(sorted(sieves, key=lambda s: sieve_sort_key(self.category, s)))
+            self._basis[x] = tuple(sorted_sieves(self.category, sieves))
         return self._basis[x]
 
     def __eq__(self, other):
@@ -213,7 +141,7 @@ def unclosed_cover(J: GrothendieckTopology):
     C = J.category
     for x in sorted(C.objects, key=str):
         sieves, cov = _sieves_on(C, x), J.covers(x)
-        for S in sorted(cov, key=lambda s: sieve_sort_key(C, s)):
+        for S in sorted_sieves(C, cov):
             ideal = sieves.ideal(S)
             for i, b in enumerate(sieves.below):
                 if i not in ideal and b <= ideal:
@@ -264,10 +192,6 @@ class _Axioms:
         self.C = C
         self.covers = covers
         self.pullback = functools.lru_cache(maxsize=None)(functools.partial(pullback_sieve, C))
-        self._sort_key = functools.lru_cache(maxsize=None)(functools.partial(sieve_sort_key, C))
-
-    def ordered(self, sieves):
-        return sorted(sieves, key=self._sort_key)
 
     def unstable(self):
         """``(x, S, h, h*(S))`` for every cover S at x and arrow h into x
@@ -276,7 +200,7 @@ class _Axioms:
         C, covers = self.C, self.covers
         for x in sorted(covers, key=str):
             into = sorted(C.arrows_into(x), key=C.arrow_label)
-            for S in self.ordered(covers[x]):
+            for S in sorted_sieves(C, covers[x]):
                 for h in into:
                     d = C.dom(h)
                     if d in covers:
@@ -290,7 +214,7 @@ class _Axioms:
         cover S; S is the first such cover."""
         C, covers = self.C, self.covers
         for x in sorted(covers, key=str):
-            cov = self.ordered(covers[x])
+            cov = sorted_sieves(C, covers[x])
             for R in universe(x):
                 if R in covers[x]:
                     continue
@@ -314,7 +238,7 @@ def check_axioms(J: GrothendieckTopology, sieve_cap: int = DEFAULT_SIEVE_CAP) ->
         tx = maximal_sieve(C, x)
         if tx not in covers[x]:
             violations.append(AxiomViolation("maximality", x, tx, None, "maximal sieve is not a cover"))
-        for S in axioms.ordered(covers[x]):
+        for S in sorted_sieves(C, covers[x]):
             if S.base != x:
                 violations.append(AxiomViolation("well-formed", x, S, None, f"sieve based at {S.base!r} stored at {x!r}"))
             elif not is_sieve(C, x, S.members):
@@ -464,7 +388,7 @@ def enumerate_topologies(
 def _canonical_key(J: GrothendieckTopology):
     C = J.category
     return tuple(
-        (str(x), tuple(sieve_literal(C, S) for S in sorted(J.covers(x), key=lambda s: sieve_sort_key(C, s))))
+        (str(x), tuple(sieve_literal(C, S) for S in sorted_sieves(C, J.covers(x))))
         for x in sorted(C.objects, key=str)
     )
 

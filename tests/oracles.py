@@ -98,6 +98,16 @@ def is_dense(C, x, S) -> bool:
     return all(any(C.compose(f, g) in S for g in C.arrows_into(C.dom(f))) for f in C.arrows_into(x))
 
 
+def pullback_members(C, h, S) -> frozenset:
+    """{g into dom(h) : h.g in S}, composing h with every such g."""
+    return frozenset(g for g in C.arrows_into(C.dom(h)) if C.compose(h, g) in S)
+
+
+def label_order(C, sets) -> list:
+    """Arrow sets by size, then by their sorted member labels."""
+    return sorted(sets, key=lambda S: (len(S), sorted(C.arrow_label(a) for a in S)))
+
+
 def minimal(sets) -> set[frozenset]:
     sets = set(sets)
     return {S for S in sets if not any(T < S for T in sets)}

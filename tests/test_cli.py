@@ -174,6 +174,11 @@ class TestVerbs:
             main(["enumerate-topologies", "--category", arrow_file, "--cap-homs", "5"])
         assert e.value.code == 2
 
+    def test_format_flag_is_gone(self, arrow_file):
+        with pytest.raises(SystemExit) as e:
+            main(["validate", "--category", arrow_file, "--format", "text"])
+        assert e.value.code == 2
+
     def test_meet_and_join(self, arrow_file, tmp_path):
         j5 = tmp_path / "j5.gtop"
         j5.write_text("topology j5 on arrow\ncover 1 : {}\n")

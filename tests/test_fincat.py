@@ -270,6 +270,11 @@ class TestFinsetBackend:
         with pytest.raises(StructuralError, match="one image per element of 'g'"):
             zmod2.compose(zmod2.identity("g"), FinFunction("g", "g", (0,)))
 
+    def test_outer_arrow_with_an_image_outside_the_carrier_is_structural(self):
+        C = build_finset_category({"g": (0, 1)})
+        with pytest.raises(StructuralError, match="image 5 .* not in the carrier of 'g'"):
+            C.compose(FinFunction("g", "g", (0, 5)), C.identity("g"))
+
     def test_empty_carrier(self):
         C = build_finset_category({"e": [], "x": [0]})
         assert C.hom_size("e", "x") == 1  # the empty map

@@ -1,3 +1,6 @@
+import hashlib
+from pathlib import Path
+
 import pytest
 
 from finsite.algebra import HomWitness, check_homomorphism, find_algebraic_objects, group_witness, monoid_witness
@@ -17,11 +20,14 @@ from finsite.gtopgroup import (
     product_local_topology,
 )
 from finsite.gtopology import (
+    build_topology,
     dense_topology,
     discrete_topology,
     trivial_topology,
 )
-from finsite.sieves import maximal_sieve
+from finsite.sieves import maximal_sieve, sieve_literal, sorted_sieves
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 @pytest.fixture(scope="module")
@@ -174,3 +180,66 @@ class TestSubcategoryClosure:
             f = "id_12"
             assert check_homomorphism(d12, HomWitness(w, w, f)).ok
             assert is_continuous(d12, f, J).ok
+
+
+def test_group_object_check_composes_once_per_class(monkeypatch):
+    g = (0, 1)
+    gg = tuple((a, b) for a in g for b in g)
+    C = build_finset_category({"unit": ((),), "g": g, "g2": gg, "g3": tuple((p, c) for p in gg for c in g)})
+    w = zmod2_witness(C)
+    J = discrete_topology(C)
+    calls = []
+    original = type(C).compose
+    monkeypatch.setattr(type(C), "compose", lambda self, outer, inner: calls.append(outer) or original(self, outer, inner))
+    assert is_gtop_algebraic_object(C, w, J).ok
+    assert len(calls) <= 1000
+
+
+def test_finset_continuity_reports_match_the_golden_file(zmod2):
+    """The endomorphism witnesses, and the mu/zeta witnesses and product-
+    local sieves of xor, and, or under the four kinds, on {unit, g, g2, g3};
+    a literal over 400 characters is pinned by its member count and
+    digest."""
+
+    def digest(lines):
+        return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+    def literal(S):
+        if S is None:
+            return "-"
+        text = sieve_literal(zmod2, S)
+        return text if len(text) < 400 else f"<{len(S.members)} members sha {digest([text])}>"
+
+    def report_digest(PL):
+        report = [f"pl at {PL.base} ({len(PL.sieves)} sieves):"]
+        report += [f"  {sieve_literal(zmod2, S)}" for S in sorted_sieves(zmod2, PL.sieves)]
+        return digest(report)
+
+    kinds = ("trivial", "discrete", "dense", "atomic")
+    tops = {kind: build_topology(zmod2, kind, verify=False)[0] for kind in kinds}
+    digests = {}  # the product-local topology depends on the kind alone
+    lines = []
+    for kind in kinds:
+        for images in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            f = zmod2.function("g", "g", dict(zip((0, 1), images)))
+            v = is_continuous(zmod2, f, tops[kind])
+            lines.append(f"endo {kind} {zmod2.arrow_label(f)} {v.ok} {literal(v.witness)}")
+    structures = {"xor": (lambda a, b: a ^ b, 0, True), "and": (lambda a, b: a & b, 1, False), "or": (lambda a, b: a | b, 0, False)}
+    for name, (op, unit, group) in structures.items():
+        mu = zmod2.function("g2", "g", {p: op(*p) for p in zmod2.carrier("g2")})
+        eta = zmod2.function("unit", "g", {(): unit})
+        if group:
+            w = group_witness(zmod2, "g", mu=mu, eta=eta, zeta=zmod2.identity("g"))
+        else:
+            w = monoid_witness(zmod2, "g", mu=mu, eta=eta)
+        for kind in kinds:
+            r = is_gtop_algebraic_object(zmod2, w, tops[kind])
+            PL = r.product_local
+            if PL not in digests:
+                digests[PL] = report_digest(PL)
+            sizes = sorted(len(S) for S in PL.sieves)
+            lines.append(
+                f"gtop {name} {kind} mu {r.mu_ok} {literal(r.mu_witness)} zeta {r.zeta_ok} {literal(r.zeta_witness)}"
+                f" product-local sizes {sizes} sha {digests[PL]}"
+            )
+    assert lines == (FIXTURES / "zmod2-continuity.golden").read_text().splitlines()

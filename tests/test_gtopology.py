@@ -23,7 +23,7 @@ from finsite.gtopology import (
     topology_leq,
     trivial_topology,
 )
-from finsite.sieves import Sieve, empty_sieve, maximal_sieve, sieve_closure
+from finsite.sieves import Sieve, empty_sieve, maximal_sieve, pullback_sieve, sieve_closure, sorted_sieves
 
 import oracles
 from oracles import dense_below, divisor_down_sets
@@ -502,3 +502,60 @@ def test_dense_covers_run_no_density_test(monkeypatch):
     assert len(J.covers("g2")) == 114
     assert len(sieve_universe(C, "g2")) == 167
     assert len(calls) <= len(C.objects)
+
+
+class TestClassRoutesAgainstOracles:
+    """Pullback and ordering work one factoring class at a time on unions
+    of classes, and member by member on other arrow sets (single arrows
+    of a larger class, every other arrow); both agree with the oracles."""
+
+    def check(self, C):
+        objs = sorted(C.objects, key=str)
+        hand = {
+            x: [Sieve(x, frozenset({a})) for a in C.arrows_into(x)] + [Sieve(x, frozenset(C.arrows_into(x)[::2]))]
+            for x in objs
+        }
+
+        def pullbacks_agree(sets):
+            for h in C.all_arrows():
+                for S in sets[C.cod(h)]:
+                    assert pullback_sieve(C, h, S).members == oracles.pullback_members(C, h, S.members), (h, S)
+
+        pullbacks_agree(hand)  # before any factoring class is built
+        universes = {x: sieve_universe(C, x) for x in objs}
+        pullbacks_agree({x: list(universes[x]) + hand[x] for x in objs})
+        for x in objs:
+            for sets in (list(universes[x]), hand[x], hand[x] + list(universes[x])):
+                expected = oracles.label_order(C, [S.members for S in sets])
+                assert [S.members for S in sorted_sieves(C, sets)] == expected, x
+
+    @given(posets())
+    @settings(max_examples=30, deadline=None)
+    def test_random_posets(self, C):
+        self.check(C)
+
+    @given(transformation_monoids())
+    @settings(max_examples=30, deadline=None)
+    def test_transformation_monoids(self, C):
+        self.check(C)
+
+    @given(finset_families())
+    @settings(max_examples=10, deadline=None)
+    def test_finset_families_with_an_empty_carrier(self, C):
+        self.check(C)
+
+    def test_arrows_that_share_a_label(self):
+        # the ids 1 and "1" print alike, so only label tuples can order them
+        self.check(FinCategory.from_data("clash", ["a", "b"], {1: ("a", "b"), "1": ("a", "b")}))
+
+
+def test_sieve_universe_builds_one_label_per_arrow(monkeypatch):
+    g = (0, 1)
+    gg = tuple((a, b) for a in g for b in g)
+    C = build_finset_category({"unit": ((),), "g": g, "g2": gg, "g3": tuple((p, c) for p in gg for c in g)})
+    calls = []
+    original = type(C).arrow_label
+    monkeypatch.setattr(type(C), "arrow_label", lambda self, a: calls.append(a) or original(self, a))
+    assert len(sieve_universe(C, "g2")) == 167
+    assert len(C.arrows_into("g2")) == 65812
+    assert len(calls) <= 65812
