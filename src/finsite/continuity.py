@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .errors import DEFAULT_SIEVE_CAP, StructuralError
 from .gtopology import GrothendieckTopology, sieve_universe
-from .sieves import Sieve, is_sieve, maximal_sieve, pullback_sieve, sieve_closure, sorted_sieves
+from .sieves import Sieve, _pullback, sieve_closure, sorted_sieves
 
 
 @dataclass(frozen=True)
@@ -31,14 +31,6 @@ class LocalTopology:
         return len(self.sieves)
 
 
-def validate_local_topology(C, L: LocalTopology) -> bool:
-    """Maximal-sieve membership and sieve-hood of every member: the only
-    topology axioms expressible at a single object."""
-    if maximal_sieve(C, L.base) not in L.sieves:
-        return False
-    return all(S.base == L.base and is_sieve(C, L.base, S.members) for S in L.sieves)
-
-
 def localize(J: GrothendieckTopology, x) -> LocalTopology:
     """The localized topology (x, J(x))."""
     if not J.category.has_object(x):
@@ -52,7 +44,10 @@ def pullback_local(C, f, L: LocalTopology) -> LocalTopology:
         raise StructuralError(
             f"local topology at {L.base!r} cannot be pulled back along {C.arrow_label(f)}"
         )
-    return LocalTopology(C.dom(f), frozenset(pullback_sieve(C, f, S) for S in L.sieves))
+    for S in L.sieves:
+        if S.base != L.base:
+            raise StructuralError(f"local topology at {L.base!r} holds a sieve based at {S.base!r}")
+    return LocalTopology(C.dom(f), frozenset(_pullback(C, f, S) for S in L.sieves))
 
 
 @dataclass(frozen=True)

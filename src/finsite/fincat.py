@@ -207,7 +207,9 @@ class FinSetCategory:
 
     Arrows exist intensionally; ``hom`` materializes a hom-set only when
     its size ``|B|**|A|`` stays under ``hom_cap``.  Composition and
-    equality of individual arrows never need enumeration.
+    equality of individual arrows never need enumeration, and neither do
+    sieves: ``finsite.sieves`` lists the image classes at an object, whose
+    number counts against the same cap.
     """
 
     backend = "finset"
@@ -680,12 +682,13 @@ def _search_cones(C, A, B, candidate_cap, what):
 
 
 def _is_product_cone(C, A, B, p, p1, p2):
+    """Whether m -> (p1.m, p2.m) maps hom(x, p) one-to-one onto
+    hom(x, A) x hom(x, B) for every object x."""
     for x in C.objects:
-        for f in C.hom(x, A):
-            for g in C.hom(x, B):
-                n = sum(1 for m in C.hom(x, p) if C.compose(p1, m) == f and C.compose(p2, m) == g)
-                if n != 1:
-                    return False
+        homs = C.hom(x, p)
+        pairs = {(C.compose(p1, m), C.compose(p2, m)) for m in homs}
+        if not len(pairs) == len(homs) == C.hom_size(x, A) * C.hom_size(x, B):
+            return False
     return True
 
 

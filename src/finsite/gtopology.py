@@ -28,7 +28,6 @@ from .errors import (
 from .sieves import (
     Sieve,
     _sieves_on,
-    empty_sieve,
     is_sieve,
     maximal_sieve,
     pullback_sieve,
@@ -44,7 +43,7 @@ def sieve_universe(C, x, cap: int = DEFAULT_SIEVE_CAP):
     """All sieves on x, as a sorted tuple."""
     sieves = _sieves_on(C, x)
     if sieves.universe is None:
-        sieves.universe = tuple(sorted_sieves(C, sieves.above((empty_sieve(x),), cap)))
+        sieves.universe = tuple(sorted_sieves(C, sieves.above((sieves.sieve(frozenset()),), cap)))
     if len(sieves.universe) > cap:
         raise ResourceError(
             f"object {x!r} has {len(sieves.universe)} sieves, over the sieve cap {cap}",
@@ -107,7 +106,7 @@ class GrothendieckTopology:
     def contains(self, S: Sieve) -> bool:
         if self._minimal_covers is None:
             return S in self.covers(S.base)
-        return any(B.members <= S.members for B in self.basis(S.base))
+        return any(B <= S for B in self.basis(S.base))
 
     def basis(self, x):
         if x not in self._basis:
@@ -241,7 +240,7 @@ def check_axioms(J: GrothendieckTopology, sieve_cap: int = DEFAULT_SIEVE_CAP) ->
         for S in sorted_sieves(C, covers[x]):
             if S.base != x:
                 violations.append(AxiomViolation("well-formed", x, S, None, f"sieve based at {S.base!r} stored at {x!r}"))
-            elif not is_sieve(C, x, S.members):
+            elif not is_sieve(C, x, S):
                 violations.append(AxiomViolation("well-formed", x, S, None, "stored arrow set is not a sieve"))
     for x, S, h, P in axioms.unstable():
         detail = f"pullback {sieve_literal(C, P)} is not a cover at {C.dom(h)!r}"
@@ -264,7 +263,7 @@ def is_dense_sieve(C, S: Sieve) -> bool:
     every minimal class.
     """
     sieves = _sieves_on(C, S.base)
-    return all(not S.members.isdisjoint(sieves.classes[i]) for i in sieves.minimal)
+    return sieves.minimal <= sieves.classes_met(S)
 
 
 def trivial_topology(C, sieve_cap: int = DEFAULT_SIEVE_CAP) -> GrothendieckTopology:
@@ -274,7 +273,11 @@ def trivial_topology(C, sieve_cap: int = DEFAULT_SIEVE_CAP) -> GrothendieckTopol
 
 def discrete_topology(C, sieve_cap: int = DEFAULT_SIEVE_CAP) -> GrothendieckTopology:
     """Every sieve covers."""
-    return GrothendieckTopology(C, "discrete", basis=lambda x: (empty_sieve(x),), sieve_cap=sieve_cap)
+
+    def basis(x):
+        return (_sieves_on(C, x).sieve(frozenset()),)
+
+    return GrothendieckTopology(C, "discrete", basis=basis, sieve_cap=sieve_cap)
 
 
 def dense_topology(C, sieve_cap: int = DEFAULT_SIEVE_CAP) -> GrothendieckTopology:
@@ -416,7 +419,7 @@ def generate_topology(C, seed: Mapping, sieve_cap: int = DEFAULT_SIEVE_CAP) -> G
         for S in sieves:
             if S.base != x:
                 raise StructuralError(f"seed sieve based at {S.base!r} filed under {x!r}")
-            if not is_sieve(C, x, S.members):
+            if not is_sieve(C, x, S):
                 raise StructuralError(f"seed set {sieve_literal(C, S)} is not a sieve on {x!r}")
             covers[x].add(S)
     universes = {x: sieve_universe(C, x, sieve_cap) for x in C.objects}

@@ -3,26 +3,101 @@
 A sieve on X is a set of arrows with codomain X closed under
 precomposition with arbitrary arrows.  On a divisor poset the sieves on n
 are exactly the down-sets of the divisors of n.
+
+Arrows into X are preordered by factoring, and a sieve is a union of
+factoring classes (arrows that factor through each other).  Every sieve
+the program builds is held as its base and the set of class indices it is
+made of; its arrows are listed only when asked for (``Sieve.members``, as
+``sieve_literal`` does).  ``Sieve(base, members)`` holds an explicit arrow
+set, for hand-built sets that need not be unions of classes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+import math
 from typing import Iterable
 
 from .errors import ResourceError, StructuralError
+from .fincat import FinFunction
 
 
-@dataclass(frozen=True)
+def _arrow_key(a):
+    """What a sieve's hash reads of one member: a finite-set map's image
+    (shared by its whole class), any other arrow itself."""
+    return frozenset(a.images) if isinstance(a, FinFunction) else a
+
+
 class Sieve:
-    base: object
-    members: frozenset
+    """A set of arrows into ``base``: either the union of the factoring
+    classes ``_ideal`` of ``_space`` (built by the program), or the
+    explicit arrow set ``members`` (built by hand).  Equal arrow sets are
+    equal sieves, and hash alike, in either form."""
 
-    def __contains__(self, arrow) -> bool:
-        return arrow in self.members
+    __slots__ = ("base", "_space", "_ideal", "_members", "_hash")
+
+    def __init__(self, base, members: Iterable):
+        self.base = base
+        self._members = frozenset(members)
+        self._space = self._ideal = self._hash = None
+
+    @classmethod
+    def _of_classes(cls, space, ideal: frozenset) -> Sieve:
+        S = cls.__new__(cls)
+        S.base, S._space, S._ideal, S._members, S._hash = space.x, space, ideal, None, None
+        return S
+
+    @property
+    def members(self) -> frozenset:
+        """The arrows, listed on first use (this can hit the hom cap)."""
+        if self._members is None:
+            self._members = self._space.members(self._ideal)
+        return self._members
+
+    @property
+    def size(self) -> int:
+        """The number of arrows; unlike ``len`` it may exceed sys.maxsize."""
+        return len(self._members) if self._space is None else self._space.size(self._ideal)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.size
+
+    def __contains__(self, arrow) -> bool:
+        if self._space is None:
+            return arrow in self._members
+        return self._space.class_of(arrow) in self._ideal
+
+    def __le__(self, other: Sieve) -> bool:
+        if self._space is not None:
+            ideal = self._space.ideal_of(other)
+            if ideal is not None:
+                return self._ideal <= ideal
+        return self.members <= other.members
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, Sieve):
+            return NotImplemented
+        if self.base != other.base:
+            return False
+        if self._space is not None and self._space is other._space:
+            return self._ideal == other._ideal
+        listed, other = (self, other) if self._space is None else (other, self)
+        return listed.size == other.size and all(a in other for a in listed.members)
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            if self._space is None:
+                key = frozenset(map(_arrow_key, self._members))
+            else:
+                key = self._space.hash_key(self._ideal)
+            h = self._hash = hash((self.base, key))
+        return h
+
+    def __repr__(self):
+        return f"Sieve(base={self.base!r}, members={self.members!r})"
 
 
 def empty_sieve(x) -> Sieve:
@@ -31,80 +106,106 @@ def empty_sieve(x) -> Sieve:
 
 def maximal_sieve(C, x) -> Sieve:
     """All arrows with codomain x."""
-    return Sieve(x, frozenset(C.arrows_into(x)))
+    sieves = _sieves_on(C, x)
+    return sieves.sieve(frozenset(range(len(sieves.keys))))
 
 
 def sieve_closure(C, x, generators: Iterable) -> Sieve:
-    """The smallest sieve on x containing the given arrows.
-
-    Because the ambient category is closed under composition, one round of
-    precomposition with every incoming arrow (identities included) already
-    reaches the fixpoint.
-    """
+    """The smallest sieve on x containing the given arrows: the arrows
+    that factor through one of them, so the down-set of their classes."""
     gens = tuple(generators)
     for f in gens:
         if C.cod(f) != x:
             raise StructuralError(f"generator {C.arrow_label(f)} does not land in {x!r}")
-    members = set()
+    sieves = _sieves_on(C, x)
+    ideal = set()
     for f in gens:
-        for g in C.arrows_into(C.dom(f)):
-            members.add(C.compose(f, g))
-    return Sieve(x, frozenset(members))
+        i = sieves.class_of(f)
+        if i is None:
+            raise StructuralError(f"generator {C.arrow_label(f)} is not an arrow into {x!r}")
+        ideal.add(i)
+        ideal |= sieves.below[i]
+    return sieves.sieve(frozenset(ideal))
 
 
 def is_sieve(C, x, members: Iterable) -> bool:
-    """Whether a set of arrows is a sieve on x."""
-    members = frozenset(members)
-    for a in members:
-        if C.cod(a) != x:
-            return False
-    for a in members:
-        for g in C.arrows_into(C.dom(a)):
-            if C.compose(a, g) not in members:
+    """Whether a set of arrows (or a ``Sieve``) is a sieve on x: a union
+    of factoring classes that holds every class below one of them."""
+    S = members if isinstance(members, Sieve) else Sieve(x, members)
+    if S.base != x:
+        return False
+    if S._space is None:
+        for a in S.members:
+            if C.cod(a) != x:
                 return False
-    return True
+    sieves = _sieves_on(C, x)
+    ideal = sieves.ideal_of(S)
+    return ideal is not None and all(sieves.below[i] <= ideal for i in ideal)
 
 
 def pullback_sieve(C, h, S: Sieve) -> Sieve:
-    """The sieve { g into dom(h) : h . g in S } on the domain of h.
-
-    When S is a union of factoring classes on an object whose classes are
-    already built, h is composed with one arrow of each class at dom(h):
-    if g and g' factor through each other, so do h.g and h.g'.  Any other
-    arrow set is pulled back member by member.
-    """
+    """The sieve { g into dom(h) : h . g in S } on the domain of h."""
     if S.base != C.cod(h):
         raise StructuralError(
             f"sieve based at {S.base!r} cannot be pulled back along {C.arrow_label(h)}"
         )
+    return _pullback(C, h, S)
+
+
+def _pullback(C, h, S: Sieve) -> Sieve:
+    """``pullback_sieve`` once the endpoints are checked.
+
+    When S is a union of classes, h is composed with one arrow of each
+    class at dom(h): if g and g' factor through each other, so do h.g and
+    h.g'.  Only an arrow set that is no union of classes (built by hand)
+    is pulled back member by member.
+    """
+    at_cod = _sieves_on(C, S.base)
+    ideal = at_cod.ideal_of(S)
     d = C.dom(h)
-    known = C._sieve_cache.get(S.base)
-    ideal = None if known is None else known.ideal_of(S)
     if ideal is None:
-        return Sieve(d, frozenset(g for g in C.arrows_into(d) if C.compose(h, g) in S.members))
-    return _sieves_on(C, d).pullback(C, h, known, ideal)
+        return Sieve(d, frozenset(g for g in C.arrows_into(d) if C.compose(h, g) in S))
+    return _sieves_on(C, d).pullback(h, at_cod, ideal)
 
 
 def sorted_sieves(C, sieves) -> list:
-    """The sieves in canonical order: by size, then by sorted member labels.
+    """The sieves in canonical order: by size, then by sorted member
+    labels, then by the sorted positions of the members in
+    ``C.arrows_into`` (which only orders different sets whose labels
+    agree).
 
-    When every sieve is a union of factoring classes on one object whose
-    classes are already built, the order is read from the classes (see
-    ``_ObjectSieves.add_order_keys``); otherwise each sieve's member labels are
-    built and sorted.
+    When every sieve is a union of classes on one object where no two
+    arrows share a label, the order is read from the classes (see
+    ``_ObjectSieves.add_order_keys``); otherwise each sieve's members are
+    listed and labelled.
     """
     sieves = list(sieves)
     if len(sieves) < 2:
         return sieves
-    known = C._sieve_cache.get(sieves[0].base)
-    if known is not None:
+    base = sieves[0].base
+    if C.has_object(base):
+        known = _sieves_on(C, base)
         key = known._order_keys.__getitem__
         try:
             return sorted(sieves, key=key)
         except KeyError:  # a sieve not ordered before
-            if known.add_order_keys(C, sieves):
+            if known.add_order_keys(sieves):
                 return sorted(sieves, key=key)
-    return sorted(sieves, key=lambda S: (len(S.members), tuple(sorted(C.arrow_label(a) for a in S.members))))
+    positions: dict = {}
+
+    def label_key(S):
+        pos = positions.get(S.base)
+        if pos is None:
+            into = C.arrows_into(S.base) if C.has_object(S.base) else ()
+            pos = positions[S.base] = {a: i for i, a in enumerate(into)}
+        members = S.members
+        return (
+            len(members),
+            tuple(sorted(map(C.arrow_label, members))),
+            tuple(sorted(pos.get(a, len(pos)) for a in members)),
+        )
+
+    return sorted(sieves, key=label_key)
 
 
 def sieve_literal(C, S: Sieve) -> str:
@@ -119,7 +220,10 @@ def _sieves_on(C, x):
     """The ``_ObjectSieves`` of x, cached on C."""
     sieves = C._sieve_cache.get(x)
     if sieves is None:
-        sieves = C._sieve_cache[x] = _ObjectSieves(C, x)
+        if not C.has_object(x):
+            raise StructuralError(f"unknown object {x!r}")
+        backend = _ImageClasses if C.backend == "finset" else _TableClasses
+        sieves = C._sieve_cache[x] = backend(C, x)
     return sieves
 
 
@@ -130,72 +234,94 @@ class _ObjectSieves:
     """The sieves on one object x, each built once, and what pulling back
     and ordering need to work one factoring class at a time.
 
-    Sieves are the down-sets of the factoring preorder on arrows into x
-    (a <= b iff a factors through b, that is iff ``C.factoring_key(a)`` is
-    a subset of ``C.factoring_key(b)``), so they are enumerated as the
-    down-sets of the poset of mutual-factoring classes.  ``below[i]`` is
-    the set of classes strictly under class i, and ``class_of`` maps each
-    arrow into x to its class.
+    ``keys[i]`` is the factoring key of class i (a <= b iff a factors
+    through b, that is iff ``C.factoring_key(a)`` is a subset of
+    ``C.factoring_key(b)``).  Sieves are the down-sets of the poset of
+    classes; ``below[i]`` is the set of classes strictly under class i.
+    A backend lists the classes and gives, per class, a representative
+    arrow (``rep``), its size (``sizes``), ``class_of`` and the hash keys
+    and members of a union of classes.
     """
 
-    def __init__(self, C, x):
-        by_key: dict = {}
-        for a in C.arrows_into(x):
-            by_key.setdefault(C.factoring_key(a), []).append(a)
-        keys = list(by_key)
+    def __init__(self, C, x, keys):
+        self.C = C
         self.x = x
-        self.reps = [by_key[k][0] for k in keys]  # each class's first arrow into x
-        self.classes = [frozenset(by_key[k]) for k in keys]  # their unions reuse stored hashes
-        self.class_of = {a: i for i, cls in enumerate(self.classes) for a in cls}
-        self.below = [frozenset(j for j, kj in enumerate(keys) if kj < ki) for ki in keys]
-        self.minimal = frozenset(i for i, b in enumerate(self.below) if not b)
+        self.keys = keys
         self.universe = None
-        self._built: dict = {}  # down-set -> its sieve
-        self._ideals: dict = {}  # sieve -> the classes it is the union of, or None
+        self._below = None
+        self._built: dict = {}  # set of classes -> its sieve
+        self._ideals: dict = {}  # hand-built arrow set -> the classes it is the union of, or None
         self._order_keys: dict = {}  # union of classes -> its order key
         self._maps: dict = {}  # arrow h out of x -> class at cod(h) of h . c, per class c
         self._pulled: dict = {}  # (h, classes at cod(h)) -> their pullback along h
         self._weights = None  # per class, 2 ** (number of classes after it in label order)
+
+    @property
+    def below(self) -> list:
+        if self._below is None:
+            keys = self.keys
+            self._below = [frozenset(j for j, kj in enumerate(keys) if kj < ki) for ki in keys]
+        return self._below
+
+    @property
+    def minimal(self) -> frozenset:
+        return frozenset(i for i, b in enumerate(self.below) if not b)
 
     def sieve(self, ideal: frozenset) -> Sieve:
         """The arrow set made of the classes in ``ideal``, built once; a
         sieve when ``ideal`` is a down-set."""
         S = self._built.get(ideal)
         if S is None:
-            S = self._built[ideal] = Sieve(self.x, frozenset().union(*map(self.classes.__getitem__, ideal)))
-            self._ideals[S] = ideal
+            S = self._built[ideal] = Sieve._of_classes(self, ideal)
         return S
+
+    def size(self, ideal) -> int:
+        return sum(map(self.sizes.__getitem__, ideal))
 
     def ideal(self, S: Sieve) -> frozenset:
         """The classes whose first arrow S holds: the classes that make up
         S when S is a sieve."""
-        return frozenset(i for i, a in enumerate(self.reps) if a in S.members)
+        if S._space is self:
+            return S._ideal
+        return frozenset(i for i in range(len(self.keys)) if self.rep(i) in S)
+
+    def classes_met(self, S: Sieve) -> frozenset:
+        """The classes S holds an arrow of (None among them when S holds
+        an arrow of no class)."""
+        if S._space is self:
+            return S._ideal
+        return frozenset(map(self.class_of, S.members))
 
     def ideal_of(self, S: Sieve):
         """The classes S is the union of, or None when S is no union of
         classes on x."""
+        if S._space is self:
+            return S._ideal
         ideal = self._ideals.get(S, _UNSEEN)
         if ideal is _UNSEEN:
             ideal = None
             if S.base == self.x:
-                ideal = frozenset(map(self.class_of.get, S.members))
-                if None in ideal or sum(len(self.classes[i]) for i in ideal) != len(S.members):
+                ideal = self.classes_met(S)
+                if None in ideal or self.size(ideal) != S.size:
                     ideal = None
             self._ideals[S] = ideal
         return ideal
 
-    def pullback(self, C, h, at_cod, ideal) -> Sieve:
+    def pullback(self, h, at_cod, ideal) -> Sieve:
         """The pullback along h (out of x, into ``at_cod.x``) of the union
         of the classes ``ideal`` there; h's class map is built once."""
         P = self._pulled.get((h, ideal))
         if P is None:
             image = self._maps.get(h)
             if image is None:
-                image = self._maps[h] = tuple(at_cod.class_of[C.compose(h, a)] for a in self.reps)
+                compose = self.C.compose
+                image = self._maps[h] = tuple(
+                    at_cod.class_of(compose(h, self.rep(i))) for i in range(len(self.keys))
+                )
             P = self._pulled[h, ideal] = self.sieve(frozenset([i for i, c in enumerate(image) if c in ideal]))
         return P
 
-    def add_order_keys(self, C, sieves) -> bool:
+    def add_order_keys(self, sieves) -> bool:
         """Give each of ``sieves`` a key that orders it as ``sorted_sieves``
         does; False, with some left without one, when one of them is no
         union of classes on x or two arrows into x share a label.
@@ -207,25 +333,33 @@ class _ObjectSieves:
         lacks; weighting class i by 2 ** (classes after it) makes the
         heavier union the earlier one.
         """
-        weights = self._label_weights(C)
+        if self._weights is None:
+            firsts = self.least_labels()
+            self._weights = ()
+            if firsts is not None:
+                self._weights = [0] * len(firsts)
+                for power, i in enumerate(sorted(range(len(firsts)), key=firsts.__getitem__, reverse=True)):
+                    self._weights[i] = 1 << power
+        weights = self._weights
         for S in sieves:
             ideal = self.ideal_of(S)
             if ideal is None or not weights:
                 return False
-            self._order_keys[S] = (len(S.members), -sum(map(weights.__getitem__, ideal)))
+            self._order_keys[S] = (self.size(ideal), -sum(map(weights.__getitem__, ideal)))
         return True
 
-    def _label_weights(self, C):
-        if self._weights is None:
-            labels = {a: C.arrow_label(a) for a in self.class_of}
-            if len(set(labels.values())) < len(labels):
-                self._weights = ()
-            else:
-                firsts = [min(map(labels.__getitem__, cls)) for cls in self.classes]
-                self._weights = [0] * len(firsts)
-                for power, i in enumerate(sorted(range(len(firsts)), key=firsts.__getitem__, reverse=True)):
-                    self._weights[i] = 1 << power
-        return self._weights
+    def least_labels(self):
+        """Each class's least member label, or None when two arrows into x
+        share a label; this labels every arrow into x."""
+        labels = {}
+        firsts = []
+        for i in range(len(self.keys)):
+            cls = {a: self.C.arrow_label(a) for a in self.class_members(i)}
+            labels.update(cls)
+            firsts.append(min(cls.values()))
+        if len(set(labels.values())) < len(labels):
+            return None
+        return firsts
 
     def above(self, bottoms, cap):
         """Every sieve that contains one of the sieves ``bottoms``."""
@@ -233,6 +367,166 @@ class _ObjectSieves:
         for B in bottoms:
             _down_sets(self.below, self.ideal(B), cap, self.x, ideals)
         return [self.sieve(ideal) for ideal in ideals]
+
+
+class _TableClasses(_ObjectSieves):
+    """The classes of a table category, read from its stored arrows in
+    their order in ``C.arrows_into(x)``."""
+
+    def __init__(self, C, x):
+        by_key: dict = {}
+        for a in C.arrows_into(x):
+            by_key.setdefault(C.factoring_key(a), []).append(a)
+        super().__init__(C, x, list(by_key))
+        self.classes = [frozenset(arrows) for arrows in by_key.values()]  # their unions reuse stored hashes
+        self._reps = [arrows[0] for arrows in by_key.values()]
+        self._class_of = {a: i for i, cls in enumerate(self.classes) for a in cls}
+        self.sizes = list(map(len, self.classes))
+        self._hash_keys = [frozenset(map(_arrow_key, cls)) for cls in self.classes]
+
+    def rep(self, i):
+        return self._reps[i]
+
+    def class_of(self, a):
+        return self._class_of.get(a)
+
+    def class_members(self, i):
+        return self.classes[i]
+
+    def members(self, ideal) -> frozenset:
+        return frozenset().union(*map(self.classes.__getitem__, ideal))
+
+    def hash_key(self, ideal) -> frozenset:
+        return frozenset().union(*map(self._hash_keys.__getitem__, ideal))
+
+
+def _surjections(m: int, k: int) -> int:
+    """The number of maps from an m-set onto a k-set."""
+    return sum((-1) ** j * math.comb(k, j) * (k - j) ** m for j in range(k + 1))
+
+
+def _prefix_free(words) -> bool:
+    """Whether no word is a prefix of another (or equal to it)."""
+    words = sorted(words)
+    return not any(b.startswith(a) for a, b in zip(words, words[1:]))
+
+
+class _ImageClasses(_ObjectSieves):
+    """The classes of a finite-set category, listed without building an
+    arrow.
+
+    An arrow's factoring key is its image, so the classes at x are the
+    image subsets A of x's carrier that some arrow realizes: the nonempty
+    ones up to the largest carrier's size, and the empty one when some
+    carrier is empty.  Class A holds surj(|dom|, |A|) arrows from each
+    domain.  Classes are indexed in their order of first appearance in
+    ``C.arrows_into(x)``; the first arrow of A from an m-element domain
+    sends the first m - |A| + 1 elements to A's first element (in carrier
+    order) and the rest to A's other elements in turn.
+    """
+
+    def __init__(self, C, x):
+        carrier = C.carrier(x)
+        n = len(carrier)
+        sizes = [len(C.carrier(d)) for d in C.objects]
+        ks = range(0 if 0 in sizes else 1, min(n, max(sizes)) + 1)
+        count = sum(math.comb(n, k) for k in ks)
+        if count > C.hom_cap:
+            raise ResourceError(
+                f"object {x!r} has {count} image classes, over the hom cap {C.hom_cap}",
+                cap_name="homs",
+                cap_value=C.hom_cap,
+            )
+        firsts = []  # (first domain, the index tuple of its first arrow, the image's indices)
+        for k in ks:
+            d = next(d for d, m in enumerate(sizes) if (m >= k if k else m == 0))
+            for image in itertools.combinations(range(n), k):
+                firsts.append((d, image[:1] * (sizes[d] - k + 1) + image[1:], image))
+        firsts.sort()
+        super().__init__(C, x, [frozenset(carrier[i] for i in image) for _, _, image in firsts])
+        self._index = {A: i for i, A in enumerate(self.keys)}
+        self._firsts = [(C.objects[d], tuple(carrier[i] for i in first)) for d, first, _ in firsts]
+        self._carrier_sizes = sizes
+        by_k = {k: sum(_surjections(m, k) for m in sizes) for k in ks}
+        self.sizes = [by_k[len(A)] for A in self.keys]
+
+    def rep(self, i):
+        d, images = self._firsts[i]
+        return FinFunction(d, self.x, images)
+
+    @property
+    def minimal(self) -> frozenset:
+        # the empty image when one is realizable, otherwise the singletons
+        least = min(map(len, self.keys))
+        return frozenset(i for i, k in enumerate(self.keys) if len(k) == least)
+
+    def class_of(self, a):
+        if type(a) is not FinFunction or a.cod != self.x:
+            return None
+        carrier = self.C._carriers.get(a.dom)
+        if carrier is None or len(carrier) != len(a.images):
+            return None
+        return self._index.get(frozenset(a.images))
+
+    def hash_key(self, ideal) -> frozenset:
+        return frozenset(map(self.keys.__getitem__, ideal))
+
+    def class_members(self, i):
+        return self.members(frozenset({i}))
+
+    def members(self, ideal) -> frozenset:
+        """The arrows of the classes in ``ideal``; the hom cap bounds how
+        many come from one domain."""
+        C, x = self.C, self.x
+        images = [tuple(self.keys[i]) for i in ideal]
+        out = []
+        for d in C.objects:
+            m = len(C.carrier(d))
+            n = sum(_surjections(m, len(A)) for A in images)
+            if n > C.hom_cap:
+                raise ResourceError(
+                    f"a sieve on {x!r} has {n} arrows from {d!r}, over the hom cap {C.hom_cap}",
+                    cap_name="homs",
+                    cap_value=C.hom_cap,
+                )
+            for A in images:
+                out.extend(
+                    FinFunction(d, x, f) for f in itertools.product(A, repeat=m) if len(set(f)) == len(A)
+                )
+        return frozenset(out)
+
+    def least_labels(self):
+        """Each class's least label, read from the element reprs.
+
+        Label bodies are element reprs each followed by ',' (the last by
+        ']').  When neither kind of token, nor any domain's label prefix,
+        is a prefix of another, labels are distinct and compare token by
+        token; the least arrow of a class from an m-element domain then
+        repeats the image's least token m - |A| + 1 times and lists the
+        others once, in token order.  Otherwise every arrow is labelled.
+        """
+        C, x = self.C, self.x
+        words = {e: repr(e) for e in C.carrier(x)}
+        heads = [f"{d}->{x}[" for d in C.objects]
+        tokens = (
+            [w + "," for w in words.values()],
+            [w + "]" for w in words.values()],
+            heads,
+        )
+        if not all(map(_prefix_free, tokens)):
+            return super().least_labels()
+        firsts = []
+        for A in self.keys:
+            ws = sorted((words[e] for e in A), key=lambda w: w + ",")
+            k = len(ws)
+            firsts.append(
+                min(
+                    head + ",".join(ws[:1] * (m - k + 1) + ws[1:]) + "]"
+                    for head, m in zip(heads, self._carrier_sizes)
+                    if (m >= k if k else m == 0)
+                )
+            )
+        return firsts
 
 
 def _down_sets(below, seed, cap, obj, out):

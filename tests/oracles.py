@@ -104,10 +104,71 @@ def pullback_members(C, h, S) -> frozenset:
 
 
 def label_order(C, sets) -> list:
-    """Arrow sets by size, then by their sorted member labels."""
-    return sorted(sets, key=lambda S: (len(S), sorted(C.arrow_label(a) for a in S)))
+    """Arrow sets by size, then by their sorted member labels, then by the
+    sorted positions of their members among the arrows into their
+    codomain (which only orders different sets whose labels agree)."""
+
+    def position(a):
+        return C.arrows_into(C.cod(a)).index(a)
+
+    return sorted(sets, key=lambda S: (len(S), sorted(C.arrow_label(a) for a in S), sorted(map(position, S))))
 
 
 def minimal(sets) -> set[frozenset]:
     sets = set(sets)
     return {S for S in sets if not any(T < S for T in sets)}
+
+
+def is_product_cone(C, A, B, p, p1, p2) -> bool:
+    """For every x and every pair (f, g) into A and B, exactly one m into p
+    with p1.m = f and p2.m = g."""
+    for x in C.objects:
+        for f in C.hom(x, A):
+            for g in C.hom(x, B):
+                if sum(1 for m in C.hom(x, p) if C.compose(p1, m) == f and C.compose(p2, m) == g) != 1:
+                    return False
+    return True
+
+
+# -- image masks: finite-set sieves from the subsets of each carrier ------
+#
+# On a finite-set category an arrow factors through another iff its image
+# is a subset of the other's, so a sieve on x is a down-closed set of image
+# subsets of x's carrier.  These work on plain tuples and dicts, not on the
+# package's categories.
+
+
+def image_classes(carrier, largest: int, empty: bool) -> list[frozenset]:
+    """The image subsets of ``carrier`` that a map from some carrier (the
+    largest of size ``largest``; one empty when ``empty``) realizes."""
+    sizes = range(0 if empty else 1, min(len(carrier), largest) + 1)
+    return [frozenset(c) for k in sizes for c in combinations(carrier, k)]
+
+
+def image_sieves(classes) -> list[frozenset]:
+    """The down-closed sets of image classes, by subset inclusion."""
+    return down_sets(classes, lambda a, b: a <= b)
+
+
+def image_pullback(f: dict, S, classes) -> frozenset:
+    """The classes A (at f's domain) whose image f[A] lies in S."""
+    return frozenset(A for A in classes if frozenset(f[a] for a in A) in S)
+
+
+def image_gtop(kind: str, g, gg, largest: int, mu: dict, zeta: dict | None):
+    """(product-local sieves at gg, mu continuous, zeta continuous or None)
+    for the structure maps of an algebraic object on the carrier g, with
+    gg = g x g, under a named topology; every carrier is nonempty."""
+    at_g, at_gg = image_classes(g, largest, False), image_classes(gg, largest, False)
+    sieves = image_sieves(at_g)
+    covers = {
+        "trivial": [S for S in sieves if S == frozenset(at_g)],
+        "discrete": sieves,
+        "dense": [S for S in sieves if all(frozenset({e}) in S for e in g)],
+        "atomic": [S for S in sieves if S],
+    }[kind]
+    p1, p2 = {p: p[0] for p in gg}, {p: p[1] for p in gg}
+    local = {image_pullback(p1, S, at_gg) for S in covers} & {image_pullback(p2, S, at_gg) for S in covers}
+    mu_ok = local <= {image_pullback(mu, S, at_gg) for S in covers}
+    zeta_ok = None if zeta is None else set(covers) <= {image_pullback(zeta, S, at_g) for S in covers}
+    return local, mu_ok, zeta_ok

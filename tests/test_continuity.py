@@ -8,7 +8,6 @@ from finsite.continuity import (
     is_cover_preserving,
     localize,
     pullback_local,
-    validate_local_topology,
 )
 from finsite.errors import StructuralError
 from finsite.fincat import (
@@ -62,11 +61,6 @@ class TestLocalize:
         with pytest.raises(StructuralError):
             localize(trivial_topology(d12), 7)
 
-    def test_localized_invariants(self, d12):
-        for J in builders(d12).values():
-            for x in d12.objects:
-                assert validate_local_topology(d12, localize(J, x))
-
 
 class TestPullbackLocal:
     def test_identity_pullback(self, d12):
@@ -86,6 +80,10 @@ class TestPullbackLocal:
     def test_base_mismatch(self, d12):
         with pytest.raises(StructuralError):
             pullback_local(d12, "2|6", localize(trivial_topology(d12), 12))
+
+    def test_sieve_based_elsewhere(self, d12):
+        with pytest.raises(StructuralError, match="holds a sieve based at 6"):
+            pullback_local(d12, "6|12", LocalTopology(12, frozenset({maximal_sieve(d12, 6)})))
 
     def test_contains_maximal_for_all_builders(self, d12, arrow_cat):
         for C in (d12, arrow_cat):

@@ -397,3 +397,40 @@ class TestFunctors:
         d6 = build_divisor_poset(6)
         inc = divisor_inclusion_functor(d6, d12)
         assert validate_functor(inc).ok
+
+
+class TestProductConesAgainstOracle:
+    """The one-pass cone test (one set of projection pairs per test object)
+    agrees with the triple loop over pairs of arrows on every candidate."""
+
+    CATEGORIES = {
+        "arrow": lambda: FinCategory.from_data("arrow", [1, 2], {"f": (1, 2)}),
+        "cospan": lambda: FinCategory.from_data("cospan", ["X", "Y", "Z"], {"f": ("X", "Z"), "g": ("Y", "Z")}),
+        "span": lambda: FinCategory.from_data("span", ["X", "Y", "Z"], {"f": ("Z", "X"), "g": ("Z", "Y")}),
+        "pair": lambda: FinCategory.from_data("pair", ["a", "b"], {"f": ("a", "b"), "g": ("a", "b")}),
+        "D_6": lambda: build_divisor_poset(6),
+        "D_12": lambda: build_divisor_poset(12),
+        "u-g": lambda: build_finset_category({"u": ((),), "g": (0, 1)}),
+        "e-g": lambda: build_finset_category({"e": (), "g": (0, 1)}),
+        "u-g-g2": lambda: build_finset_category({"u": ((),), "g": (0,), "g2": ((0, 0),)}),
+        "e-g-h": lambda: build_finset_category({"e": (), "g": (0, 1), "h": (0, 1, 2)}),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CATEGORIES))
+    def test_every_candidate_cone(self, name):
+        import oracles
+        from finsite.fincat import _is_product_cone
+
+        C = self.CATEGORIES[name]()
+        for A in C.objects:
+            for B in C.objects:
+                found = []
+                for p in C.objects:
+                    for p1 in C.hom(p, A):
+                        for p2 in C.hom(p, B):
+                            verdict = oracles.is_product_cone(C, A, B, p, p1, p2)
+                            assert _is_product_cone(C, A, B, p, p1, p2) == verdict, (A, B, p, p1, p2)
+                            if verdict:
+                                found.append((p, p1, p2))
+                got = [(c.apex, c.p1, c.p2) for c in search_product_cones(C, A, B)]
+                assert sorted(got, key=str) == sorted(found, key=str), (A, B)

@@ -1,11 +1,16 @@
 import functools
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import finsite
 from finsite.errors import ResourceError, StructuralError
 from finsite.fincat import FinCategory, build_divisor_poset, build_finset_category
 from finsite.gtopology import (
@@ -559,3 +564,29 @@ def test_sieve_universe_builds_one_label_per_arrow(monkeypatch):
     assert len(sieve_universe(C, "g2")) == 167
     assert len(C.arrows_into("g2")) == 65812
     assert len(calls) <= 65812
+
+
+def test_reports_on_arrows_that_print_alike_ignore_the_hash_seed():
+    # the sieves of 1 and "1" print alike; the stability lines of each
+    # differ, so their order shows in the report
+    script = "\n".join([
+        "from finsite.fincat import FinCategory",
+        "from finsite.gtopology import GrothendieckTopology, check_axioms",
+        "from finsite.sieves import maximal_sieve, sieve_closure",
+        "C = FinCategory.from_data('clash', ['a', 'b'], {1: ('a', 'b'), '1': ('a', 'b')})",
+        "covers = {'a': set(), 'b': {maximal_sieve(C, 'b'), sieve_closure(C, 'b', [1]), sieve_closure(C, 'b', ['1'])}}",
+        "print(check_axioms(GrothendieckTopology(C, covers=covers)).summary(C))",
+    ])
+    src = str(Path(finsite.__file__).resolve().parents[1])
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for seed in ("0", "5")
+    ]
+    assert outs[0] == outs[1]
+    assert outs[0].count("[stability] at 'b', sieve {1}, arrow 1") == 4

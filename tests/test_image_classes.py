@@ -1,0 +1,139 @@
+"""Finite-set sieves as unions of image classes.
+
+On a finite-set category the factoring classes at x are the image subsets
+of x's carrier, listed without building an arrow.  These tests compare the
+class route with brute-force oracles on small families, and pin the reach
+it gives: the group objects on {unit, g, g2, g3} are checked without
+listing a hom-set.
+"""
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import oracles
+from finsite.algebra import group_witness
+from finsite.errors import ResourceError
+from finsite.fincat import build_finset_category
+from finsite.gtopgroup import is_gtop_algebraic_object
+from finsite.gtopology import build_topology, sieve_universe
+from finsite.sieves import _sieves_on, maximal_sieve, pullback_sieve, sieve_closure, sorted_sieves
+
+KINDS = ("trivial", "discrete", "dense", "atomic")
+
+# element reprs that are prefixes of one another: 1 and 10, 'a' and 'a,'
+POOL = (1, 10, "a", "a,", 0, (0, 1))
+
+
+def family(carriers):
+    return build_finset_category({"e": (), **{f"c{i}": c for i, c in enumerate(carriers)}})
+
+
+@st.composite
+def image_families(draw):
+    """An empty carrier and one or two more of up to three elements."""
+    carriers = draw(st.lists(st.lists(st.sampled_from(POOL), max_size=3, unique=True), min_size=1, max_size=2))
+    return family([tuple(c) for c in carriers])
+
+
+def group_family(n):
+    g = tuple(range(n))
+    gg = tuple((a, b) for a in g for b in g)
+    return build_finset_category({"unit": ((),), "g": g, "g2": gg, "g3": tuple((p, c) for p in gg for c in g)})
+
+
+def cyclic_witness(C, n):
+    g = C.carrier("g")
+    mu = C.function("g2", "g", {(a, b): (a + b) % n for a, b in C.carrier("g2")})
+    return group_witness(
+        C, "g", mu=mu, eta=C.function("unit", "g", {(): 0}), zeta=C.function("g", "g", {a: -a % n for a in g})
+    )
+
+
+class TestImageClassesAgainstOracles:
+    @given(image_families())
+    @example(family([(1, 10), ("a", "a,")]))
+    @example(family([(1, 10, "a,"), ()]))
+    @settings(max_examples=25, deadline=None)
+    def test_against_brute_force(self, C):
+        objs = sorted(C.objects, key=str)
+        universes = {x: oracles.sieves_on(C, x) for x in objs}
+        program = {x: {T: sieve_closure(C, x, T) for T in universes[x]} for x in objs}
+        for x in objs:
+            into = C.arrows_into(x)
+            for T, S in program[x].items():
+                assert S.members == T
+                assert len(S) == len(T)
+                assert all((a in S) == (a in T) for a in into)
+            assert {S.members for S in sieve_universe(C, x)} == universes[x]
+            expected = oracles.label_order(C, list(universes[x]))
+            assert [S.members for S in sorted_sieves(C, program[x].values())] == expected
+            sieves = _sieves_on(C, x)
+            labels = {}
+            for a in into:
+                labels.setdefault(frozenset(a.images), []).append(C.arrow_label(a))
+            assert sieves.least_labels() == [min(labels[A]) for A in sieves.keys]
+        for h in C.all_arrows():
+            for T, S in program[C.cod(h)].items():
+                assert pullback_sieve(C, h, S).members == oracles.pullback_members(C, h, T), (h, T)
+
+    def test_prefix_reprs_are_ordered_without_labelling_arrows(self, monkeypatch):
+        C = family([(1, 10), ("a", "a,"), (1, 10, "a,")])
+        calls = []
+        original = type(C).arrow_label
+        monkeypatch.setattr(type(C), "arrow_label", lambda self, a: calls.append(a) or original(self, a))
+        for x in C.objects:
+            sieve_universe(C, x)
+        assert calls == []
+        assert C._hom_cache == {}
+
+
+    @pytest.mark.parametrize("sizes", [(2, 1), (2, 2)])
+    def test_objects_that_print_alike(self, sizes):
+        # the domains 1 and "1" give arrows the same label prefix, so every
+        # arrow is labelled; with equal carriers their labels collide and
+        # sieves are ordered by label tuples
+        C = build_finset_category({1: tuple(range(sizes[0])), "1": tuple(range(sizes[1])), "e": ()})
+        for x in C.objects:
+            labels = {}
+            for a in C.arrows_into(x):
+                labels.setdefault(frozenset(a.images), []).append(C.arrow_label(a))
+            firsts = [min(labels[A]) for A in _sieves_on(C, x).keys]
+            collide = sum(map(len, labels.values())) > len(set().union(*labels.values()))
+            assert _sieves_on(C, x).least_labels() == (None if collide else firsts)
+            universe = oracles.sieves_on(C, x)
+            program = [sieve_closure(C, x, T) for T in universe]
+            assert [S.members for S in sorted_sieves(C, program)] == oracles.label_order(C, list(universe))
+
+
+class TestGroupObjectsWithoutHomSets:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_z2_lists_no_hom_set(self, kind):
+        C = group_family(2)
+        J, _ = build_topology(C, kind, verify=False)
+        is_gtop_algebraic_object(C, cyclic_witness(C, 2), J)
+        assert C._hom_cache == {} and C._into_cache == {}
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_z3_matches_the_image_mask_oracle(self, kind):
+        C = group_family(3)
+        g, gg = C.carrier("g"), C.carrier("g2")
+        J, _ = build_topology(C, kind, verify=False)
+        report = is_gtop_algebraic_object(C, cyclic_witness(C, 3), J)
+        mu = {(a, b): (a + b) % 3 for a, b in gg}
+        local, mu_ok, zeta_ok = oracles.image_gtop(kind, g, gg, len(C.carrier("g3")), mu, {a: -a % 3 for a in g})
+        assert (report.mu_ok, report.zeta_ok) == (mu_ok, zeta_ok)
+        classes = oracles.image_classes(gg, len(C.carrier("g3")), False)
+        onto = {A: {e: sorted(A)[min(i, len(A) - 1)] for i, e in enumerate(C.carrier("g3"))} for A in classes}
+        reps = {A: C.function("g3", "g2", onto[A]) for A in classes}
+        got = {frozenset(A for A in classes if reps[A] in S) for S in report.product_local.sieves}
+        assert got == local
+        assert C._hom_cache == {}
+
+    def test_classes_at_g3_on_z3_hit_the_hom_cap(self):
+        C = group_family(3)
+        for ask in (maximal_sieve, sieve_universe):
+            with pytest.raises(ResourceError, match=r"'g3' has 134217727 image classes") as err:
+                ask(C, "g3")
+            assert err.value.cap_name == "homs"
+
