@@ -15,15 +15,11 @@ from .fincat import (
     FinFunction,
     FinSetCategory,
     Functor,
-    Path,
     ProductCone,
-    CoproductCone,
-    binary_coproduct,
     binary_product,
     build_divisor_poset,
     build_finset_category,
     build_product_category,
-    check_commutes,
     terminal_objects,
     validate_category,
     validate_functor,

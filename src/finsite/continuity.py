@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .errors import DEFAULT_SIEVE_CAP, StructuralError
 from .gtopology import GrothendieckTopology, sieve_universe
-from .sieves import Sieve, _pullback, sieve_closure, sorted_sieves
+from .sieves import Sieve, _not_on, _pullback, sieve_closure, sorted_sieves
 
 
 @dataclass(frozen=True)
@@ -44,10 +44,15 @@ def pullback_local(C, f, L: LocalTopology) -> LocalTopology:
         raise StructuralError(
             f"local topology at {L.base!r} cannot be pulled back along {C.arrow_label(f)}"
         )
-    for S in L.sieves:
-        if S.base != L.base:
-            raise StructuralError(f"local topology at {L.base!r} holds a sieve based at {S.base!r}")
+    _check_sieves(C, L)
     return LocalTopology(C.dom(f), frozenset(_pullback(C, f, S) for S in L.sieves))
+
+
+def _check_sieves(C, L: LocalTopology):
+    for S in L.sieves:
+        why = _not_on(C, L.base, S)
+        if why:
+            raise StructuralError(f"local topology at {L.base!r} holds a {why}")
 
 
 @dataclass(frozen=True)
@@ -67,6 +72,7 @@ def is_continuous_local(C, f, Ldom: LocalTopology, Lcod: LocalTopology) -> Conti
     """
     if Ldom.base != C.dom(f) or Lcod.base != C.cod(f):
         raise StructuralError("local topologies do not match the arrow's endpoints")
+    _check_sieves(C, Ldom)
     pulled = pullback_local(C, f, Lcod).sieves
     failing = [S for S in Ldom.sieves if S not in pulled]
     if failing:

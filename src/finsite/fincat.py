@@ -405,7 +405,7 @@ def identity_functor(C) -> Functor:
     return Functor(f"id_{C.name}", C, C, {x: x for x in C.objects}, {a: a for a in C.all_arrows()})
 
 
-# -- cones and paths --------------------------------------------------
+# -- cones ------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -417,54 +417,6 @@ class ProductCone:
     apex: ObjId
     p1: ArrowId
     p2: ArrowId
-
-
-@dataclass(frozen=True)
-class CoproductCone:
-    """A binary coproduct witness: apex with injections from the factors."""
-
-    left: ObjId
-    right: ObjId
-    apex: ObjId
-    i1: ArrowId
-    i2: ArrowId
-
-
-@dataclass(frozen=True)
-class Path:
-    """A composable chain of arrows; an empty path must name its object."""
-
-    arrows: tuple = ()
-    at_object: ObjId | None = None
-
-    def __post_init__(self):
-        if not self.arrows and self.at_object is None:
-            raise StructuralError("empty path must state its object")
-
-
-def path_start(C, p: Path):
-    return p.at_object if not p.arrows else C.dom(p.arrows[0])
-
-
-def path_end(C, p: Path):
-    return p.at_object if not p.arrows else C.cod(p.arrows[-1])
-
-
-def path_composite(C, p: Path):
-    """Fold a path into a single arrow (identity for the empty path)."""
-    if not p.arrows:
-        return C.identity(p.at_object)
-    out = p.arrows[0]
-    for a in p.arrows[1:]:
-        out = C.compose(a, out)
-    return out
-
-
-def check_commutes(C, p: Path, q: Path) -> bool:
-    """Whether two parallel paths compose to the same arrow."""
-    if path_start(C, p) != path_start(C, q) or path_end(C, p) != path_end(C, q):
-        raise StructuralError("paths do not share start and end objects")
-    return path_composite(C, p) == path_composite(C, q)
 
 
 # -- validation -------------------------------------------------------
@@ -615,7 +567,7 @@ def validate_functor(F: Functor) -> ValidationReport:
     return ValidationReport(not violations, tuple(violations), checks)
 
 
-# -- terminal objects, products, coproducts ---------------------------
+# -- terminal objects and products ------------------------------------
 
 
 def terminal_objects(C) -> frozenset:
@@ -636,23 +588,6 @@ def bang(C, x, t):
     return h[0]
 
 
-class _Opposite:
-    """The opposite of a category, as far as the cone search needs it."""
-
-    def __init__(self, C):
-        self.objects = C.objects
-        self._C = C
-
-    def hom(self, x, y):
-        return self._C.hom(y, x)
-
-    def hom_size(self, x, y) -> int:
-        return self._C.hom_size(y, x)
-
-    def compose(self, g, f):
-        return self._C.compose(f, g)
-
-
 def _search_estimate(C, A, B):
     inner = sum(C.hom_size(x, A) * C.hom_size(x, B) for x in C.objects)
     cones = sum(C.hom_size(p, A) * C.hom_size(p, B) for p in C.objects)
@@ -661,14 +596,10 @@ def _search_estimate(C, A, B):
 
 def search_product_cones(C, A, B, candidate_cap: int = DEFAULT_CANDIDATE_CAP):
     """All product cones over (A, B), by exhaustive universal-property search."""
-    return _search_cones(C, A, B, candidate_cap, "product")
-
-
-def _search_cones(C, A, B, candidate_cap, what):
     est = _search_estimate(C, A, B)
     if est > candidate_cap:
         raise ResourceError(
-            f"{what} search over ~{est} candidates exceeds the candidate cap {candidate_cap}",
+            f"product search over ~{est} candidates exceeds the candidate cap {candidate_cap}",
             cap_name="candidates",
             cap_value=candidate_cap,
         )
@@ -720,16 +651,6 @@ def binary_product(C, A, B, candidate_cap: int = DEFAULT_CANDIDATE_CAP):
     if C.backend == "finset":
         return (canonical_finset_product(C, A, B),)
     return search_product_cones(C, A, B, candidate_cap)
-
-
-def binary_coproduct(C, A, B, candidate_cap: int = DEFAULT_CANDIDATE_CAP):
-    """Coproduct cones over (A, B): the product cones of the opposite
-    category, found by the same search on both backends."""
-    for o in (A, B):
-        if not C.has_object(o):
-            raise StructuralError(f"unknown object {o!r}")
-    cones = _search_cones(_Opposite(C), A, B, candidate_cap, "coproduct")
-    return tuple(CoproductCone(A, B, c.apex, c.p1, c.p2) for c in cones)
 
 
 def pair(C, cone: ProductCone, f, g):

@@ -27,8 +27,8 @@ from .errors import (
 )
 from .sieves import (
     Sieve,
+    _not_on,
     _sieves_on,
-    is_sieve,
     maximal_sieve,
     pullback_sieve,
     sieve_literal,
@@ -104,6 +104,9 @@ class GrothendieckTopology:
         return {x: self.covers(x) for x in self.category.objects}
 
     def contains(self, S: Sieve) -> bool:
+        why = _not_on(self.category, S.base, S)
+        if why:
+            raise StructuralError(f"{self!r} cannot hold a {why}")
         if self._minimal_covers is None:
             return S in self.covers(S.base)
         return any(B <= S for B in self.basis(S.base))
@@ -141,7 +144,7 @@ def unclosed_cover(J: GrothendieckTopology):
     for x in sorted(C.objects, key=str):
         sieves, cov = _sieves_on(C, x), J.covers(x)
         for S in sorted_sieves(C, cov):
-            ideal = sieves.ideal(S)
+            ideal = S._ideal
             for i, b in enumerate(sieves.below):
                 if i not in ideal and b <= ideal:
                     R = sieves.sieve(ideal | {i})
@@ -237,11 +240,11 @@ def check_axioms(J: GrothendieckTopology, sieve_cap: int = DEFAULT_SIEVE_CAP) ->
         tx = maximal_sieve(C, x)
         if tx not in covers[x]:
             violations.append(AxiomViolation("maximality", x, tx, None, "maximal sieve is not a cover"))
-        for S in sorted_sieves(C, covers[x]):
-            if S.base != x:
-                violations.append(AxiomViolation("well-formed", x, S, None, f"sieve based at {S.base!r} stored at {x!r}"))
-            elif not is_sieve(C, x, S):
-                violations.append(AxiomViolation("well-formed", x, S, None, "stored arrow set is not a sieve"))
+        malformed = {S: why for S in covers[x] if (why := _not_on(C, x, S))}
+        for S in sorted(malformed, key=lambda S: (str(S.base), sieve_literal(S._space.C, S))):
+            violations.append(AxiomViolation("well-formed", x, S, None, f"{malformed[S]} stored at {x!r}"))
+        if malformed:  # the other passes see only the sieves on x
+            covers[x] = covers[x].difference(malformed)
     for x, S, h, P in axioms.unstable():
         detail = f"pullback {sieve_literal(C, P)} is not a cover at {C.dom(h)!r}"
         violations.append(AxiomViolation("stability", x, S, h, detail))
@@ -262,8 +265,10 @@ def is_dense_sieve(C, S: Sieve) -> bool:
     arrow lies above a minimal factoring class, so S is dense iff it meets
     every minimal class.
     """
-    sieves = _sieves_on(C, S.base)
-    return sieves.minimal <= sieves.classes_met(S)
+    why = _not_on(C, S.base, S)
+    if why:
+        raise StructuralError(f"density in {C.name!r} cannot be tested on a {why}")
+    return S._space.minimal <= S._ideal
 
 
 def trivial_topology(C, sieve_cap: int = DEFAULT_SIEVE_CAP) -> GrothendieckTopology:
@@ -417,10 +422,9 @@ def generate_topology(C, seed: Mapping, sieve_cap: int = DEFAULT_SIEVE_CAP) -> G
         if not C.has_object(x):
             raise StructuralError(f"seed mentions unknown object {x!r}")
         for S in sieves:
-            if S.base != x:
-                raise StructuralError(f"seed sieve based at {S.base!r} filed under {x!r}")
-            if not is_sieve(C, x, S):
-                raise StructuralError(f"seed set {sieve_literal(C, S)} is not a sieve on {x!r}")
+            why = _not_on(C, x, S)
+            if why:
+                raise StructuralError(f"seed {why} filed under {x!r}")
             covers[x].add(S)
     universes = {x: sieve_universe(C, x, sieve_cap) for x in C.objects}
     axioms = _Axioms(C, covers)

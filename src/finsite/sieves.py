@@ -5,11 +5,14 @@ precomposition with arbitrary arrows.  On a divisor poset the sieves on n
 are exactly the down-sets of the divisors of n.
 
 Arrows into X are preordered by factoring, and a sieve is a union of
-factoring classes (arrows that factor through each other).  Every sieve
-the program builds is held as its base and the set of class indices it is
-made of; its arrows are listed only when asked for (``Sieve.members``, as
-``sieve_literal`` does).  ``Sieve(base, members)`` holds an explicit arrow
-set, for hand-built sets that need not be unions of classes.
+factoring classes (arrows that factor through each other) that holds
+every class below one of its own: a down-set of classes.  A ``Sieve`` is
+its base and that down-set, built once per down-set by the
+``_ObjectSieves`` of its base, so equal sieves are one object.  Its
+arrows are listed only when asked for (``Sieve.members``, as
+``sieve_literal`` does).  Sieves come from ``sieve_closure``,
+``maximal_sieve``, ``pullback_sieve`` and ``sieve_universe``; a raw arrow
+set is never a ``Sieve``, and ``is_sieve`` tests whether it is one.
 """
 
 from __future__ import annotations
@@ -22,29 +25,27 @@ from .errors import ResourceError, StructuralError
 from .fincat import FinFunction
 
 
-def _arrow_key(a):
-    """What a sieve's hash reads of one member: a finite-set map's image
-    (shared by its whole class), any other arrow itself."""
-    return frozenset(a.images) if isinstance(a, FinFunction) else a
-
-
 class Sieve:
-    """A set of arrows into ``base``: either the union of the factoring
-    classes ``_ideal`` of ``_space`` (built by the program), or the
-    explicit arrow set ``members`` (built by hand).  Equal arrow sets are
-    equal sieves, and hash alike, in either form."""
+    """A sieve on ``base``: the union of the factoring classes ``_ideal``,
+    a down-set of the classes of ``_space`` (the ``_ObjectSieves`` of
+    base).
+
+    Only ``_ObjectSieves.sieve`` builds one, once per down-set, so
+    equality is identity.  The hash reads the base and the class indices,
+    so set order does not vary between runs under one hash seed.  ``<=``
+    holds only between sieves on one object of one category.
+    """
 
     __slots__ = ("base", "_space", "_ideal", "_members", "_hash")
 
-    def __init__(self, base, members: Iterable):
-        self.base = base
-        self._members = frozenset(members)
-        self._space = self._ideal = self._hash = None
+    def __init__(self, *args, **kwargs):
+        raise StructuralError("sieves are built by sieve_closure, maximal_sieve, pullback_sieve or sieve_universe")
 
     @classmethod
     def _of_classes(cls, space, ideal: frozenset) -> Sieve:
         S = cls.__new__(cls)
-        S.base, S._space, S._ideal, S._members, S._hash = space.x, space, ideal, None, None
+        S.base, S._space, S._ideal, S._members = space.x, space, ideal, None
+        S._hash = hash((space.x, ideal))
         return S
 
     @property
@@ -57,51 +58,24 @@ class Sieve:
     @property
     def size(self) -> int:
         """The number of arrows; unlike ``len`` it may exceed sys.maxsize."""
-        return len(self._members) if self._space is None else self._space.size(self._ideal)
+        return self._space.size(self._ideal)
 
     def __len__(self) -> int:
         return self.size
 
     def __contains__(self, arrow) -> bool:
-        if self._space is None:
-            return arrow in self._members
         return self._space.class_of(arrow) in self._ideal
 
     def __le__(self, other: Sieve) -> bool:
-        if self._space is not None:
-            ideal = self._space.ideal_of(other)
-            if ideal is not None:
-                return self._ideal <= ideal
-        return self.members <= other.members
-
-    def __eq__(self, other):
-        if self is other:
-            return True
         if not isinstance(other, Sieve):
             return NotImplemented
-        if self.base != other.base:
-            return False
-        if self._space is not None and self._space is other._space:
-            return self._ideal == other._ideal
-        listed, other = (self, other) if self._space is None else (other, self)
-        return listed.size == other.size and all(a in other for a in listed.members)
+        return self._space is other._space and self._ideal <= other._ideal
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            if self._space is None:
-                key = frozenset(map(_arrow_key, self._members))
-            else:
-                key = self._space.hash_key(self._ideal)
-            h = self._hash = hash((self.base, key))
-        return h
+        return self._hash
 
     def __repr__(self):
         return f"Sieve(base={self.base!r}, members={self.members!r})"
-
-
-def empty_sieve(x) -> Sieve:
-    return Sieve(x, frozenset())
 
 
 def maximal_sieve(C, x) -> Sieve:
@@ -129,83 +103,67 @@ def sieve_closure(C, x, generators: Iterable) -> Sieve:
 
 
 def is_sieve(C, x, members: Iterable) -> bool:
-    """Whether a set of arrows (or a ``Sieve``) is a sieve on x: a union
-    of factoring classes that holds every class below one of them."""
-    S = members if isinstance(members, Sieve) else Sieve(x, members)
-    if S.base != x:
-        return False
-    if S._space is None:
-        for a in S.members:
-            if C.cod(a) != x:
-                return False
+    """Whether a set of arrows is a sieve on x: a union of factoring
+    classes that holds every class below one of them.  A ``Sieve`` is one
+    iff it is a sieve on x of C."""
+    if isinstance(members, Sieve):
+        return _not_on(C, x, members) is None
+    arrows = frozenset(members)
+    for a in arrows:
+        if C.cod(a) != x:
+            return False
     sieves = _sieves_on(C, x)
-    ideal = sieves.ideal_of(S)
-    return ideal is not None and all(sieves.below[i] <= ideal for i in ideal)
+    ideal = frozenset(map(sieves.class_of, arrows))
+    return (
+        None not in ideal
+        and sieves.size(ideal) == len(arrows)
+        and all(sieves.below[i] <= ideal for i in ideal)
+    )
+
+
+def _not_on(C, x, S: Sieve):
+    """Why S is not a sieve on x of C, or None when it is one."""
+    if S.base != x:
+        return f"sieve based at {S.base!r}"
+    if S._space is not _sieves_on(C, x):
+        return f"sieve on {x!r} of another category"
+    return None
 
 
 def pullback_sieve(C, h, S: Sieve) -> Sieve:
     """The sieve { g into dom(h) : h . g in S } on the domain of h."""
-    if S.base != C.cod(h):
-        raise StructuralError(
-            f"sieve based at {S.base!r} cannot be pulled back along {C.arrow_label(h)}"
-        )
+    why = _not_on(C, C.cod(h), S)
+    if why:
+        raise StructuralError(f"{why} cannot be pulled back along {C.arrow_label(h)}")
     return _pullback(C, h, S)
 
 
 def _pullback(C, h, S: Sieve) -> Sieve:
-    """``pullback_sieve`` once the endpoints are checked.
-
-    When S is a union of classes, h is composed with one arrow of each
-    class at dom(h): if g and g' factor through each other, so do h.g and
-    h.g'.  Only an arrow set that is no union of classes (built by hand)
-    is pulled back member by member.
-    """
-    at_cod = _sieves_on(C, S.base)
-    ideal = at_cod.ideal_of(S)
-    d = C.dom(h)
-    if ideal is None:
-        return Sieve(d, frozenset(g for g in C.arrows_into(d) if C.compose(h, g) in S))
-    return _sieves_on(C, d).pullback(h, at_cod, ideal)
+    """``pullback_sieve`` once S is known to be a sieve on cod(h)."""
+    return _sieves_on(C, C.dom(h)).pullback(h, S)
 
 
 def sorted_sieves(C, sieves) -> list:
-    """The sieves in canonical order: by size, then by sorted member
-    labels, then by the sorted positions of the members in
-    ``C.arrows_into`` (which only orders different sets whose labels
-    agree).
-
-    When every sieve is a union of classes on one object where no two
-    arrows share a label, the order is read from the classes (see
-    ``_ObjectSieves.add_order_keys``); otherwise each sieve's members are
-    listed and labelled.
-    """
+    """The sieves, all on one object of C, in canonical order: by size,
+    then by sorted member labels, then by the sorted positions of the
+    members in ``C.arrows_into`` (which only orders different sets whose
+    labels agree).  Each key is computed once, from the classes where it
+    can be (see ``_ObjectSieves.order_key``)."""
     sieves = list(sieves)
     if len(sieves) < 2:
         return sieves
-    base = sieves[0].base
-    if C.has_object(base):
-        known = _sieves_on(C, base)
-        key = known._order_keys.__getitem__
-        try:
-            return sorted(sieves, key=key)
-        except KeyError:  # a sieve not ordered before
-            if known.add_order_keys(sieves):
-                return sorted(sieves, key=key)
-    positions: dict = {}
-
-    def label_key(S):
-        pos = positions.get(S.base)
-        if pos is None:
-            into = C.arrows_into(S.base) if C.has_object(S.base) else ()
-            pos = positions[S.base] = {a: i for i, a in enumerate(into)}
-        members = S.members
-        return (
-            len(members),
-            tuple(sorted(map(C.arrow_label, members))),
-            tuple(sorted(pos.get(a, len(pos)) for a in members)),
-        )
-
-    return sorted(sieves, key=label_key)
+    space = _sieves_on(C, sieves[0].base)
+    keys = space._order_keys
+    try:
+        return sorted(sieves, key=keys.__getitem__)
+    except KeyError:  # a sieve not ordered before
+        for S in sieves:
+            if S not in keys:
+                why = _not_on(C, space.x, S)
+                if why:
+                    raise StructuralError(f"a {why} cannot be ordered among the sieves on {space.x!r}") from None
+                keys[S] = space.order_key(S._ideal)
+        return sorted(sieves, key=keys.__getitem__)
 
 
 def sieve_literal(C, S: Sieve) -> str:
@@ -227,9 +185,6 @@ def _sieves_on(C, x):
     return sieves
 
 
-_UNSEEN = object()
-
-
 class _ObjectSieves:
     """The sieves on one object x, each built once, and what pulling back
     and ordering need to work one factoring class at a time.
@@ -239,8 +194,8 @@ class _ObjectSieves:
     ``C.factoring_key(b)``).  Sieves are the down-sets of the poset of
     classes; ``below[i]`` is the set of classes strictly under class i.
     A backend lists the classes and gives, per class, a representative
-    arrow (``rep``), its size (``sizes``), ``class_of`` and the hash keys
-    and members of a union of classes.
+    arrow (``rep``), its size (``sizes``), ``class_of`` and the members
+    of a union of classes.
     """
 
     def __init__(self, C, x, keys):
@@ -249,12 +204,12 @@ class _ObjectSieves:
         self.keys = keys
         self.universe = None
         self._below = None
-        self._built: dict = {}  # set of classes -> its sieve
-        self._ideals: dict = {}  # hand-built arrow set -> the classes it is the union of, or None
-        self._order_keys: dict = {}  # union of classes -> its order key
+        self._built: dict = {}  # down-set of classes -> its sieve
+        self._order_keys: dict = {}  # sieve -> its key in sorted_sieves
         self._maps: dict = {}  # arrow h out of x -> class at cod(h) of h . c, per class c
-        self._pulled: dict = {}  # (h, classes at cod(h)) -> their pullback along h
+        self._pulled: dict = {}  # (h, sieve on cod(h)) -> its pullback along h
         self._weights = None  # per class, 2 ** (number of classes after it in label order)
+        self._positions = None  # arrow into x -> its position in C.arrows_into(x)
 
     @property
     def below(self) -> list:
@@ -268,8 +223,8 @@ class _ObjectSieves:
         return frozenset(i for i, b in enumerate(self.below) if not b)
 
     def sieve(self, ideal: frozenset) -> Sieve:
-        """The arrow set made of the classes in ``ideal``, built once; a
-        sieve when ``ideal`` is a down-set."""
+        """The sieve made of the classes in the down-set ``ideal``, built
+        once."""
         S = self._built.get(ideal)
         if S is None:
             S = self._built[ideal] = Sieve._of_classes(self, ideal)
@@ -278,60 +233,37 @@ class _ObjectSieves:
     def size(self, ideal) -> int:
         return sum(map(self.sizes.__getitem__, ideal))
 
-    def ideal(self, S: Sieve) -> frozenset:
-        """The classes whose first arrow S holds: the classes that make up
-        S when S is a sieve."""
-        if S._space is self:
-            return S._ideal
-        return frozenset(i for i in range(len(self.keys)) if self.rep(i) in S)
+    def pullback(self, h, S: Sieve) -> Sieve:
+        """The pullback along h (out of x) of the sieve S on cod(h).
 
-    def classes_met(self, S: Sieve) -> frozenset:
-        """The classes S holds an arrow of (None among them when S holds
-        an arrow of no class)."""
-        if S._space is self:
-            return S._ideal
-        return frozenset(map(self.class_of, S.members))
-
-    def ideal_of(self, S: Sieve):
-        """The classes S is the union of, or None when S is no union of
-        classes on x."""
-        if S._space is self:
-            return S._ideal
-        ideal = self._ideals.get(S, _UNSEEN)
-        if ideal is _UNSEEN:
-            ideal = None
-            if S.base == self.x:
-                ideal = self.classes_met(S)
-                if None in ideal or self.size(ideal) != S.size:
-                    ideal = None
-            self._ideals[S] = ideal
-        return ideal
-
-    def pullback(self, h, at_cod, ideal) -> Sieve:
-        """The pullback along h (out of x, into ``at_cod.x``) of the union
-        of the classes ``ideal`` there; h's class map is built once."""
-        P = self._pulled.get((h, ideal))
+        h is composed with one arrow of each class at x: if g and g'
+        factor through each other, so do h.g and h.g'.  h's class map is
+        built once.
+        """
+        P = self._pulled.get((h, S))
         if P is None:
             image = self._maps.get(h)
             if image is None:
-                compose = self.C.compose
+                compose, at_cod = self.C.compose, S._space
                 image = self._maps[h] = tuple(
                     at_cod.class_of(compose(h, self.rep(i))) for i in range(len(self.keys))
                 )
-            P = self._pulled[h, ideal] = self.sieve(frozenset([i for i, c in enumerate(image) if c in ideal]))
+            ideal = S._ideal
+            P = self._pulled[h, S] = self.sieve(frozenset([i for i, c in enumerate(image) if c in ideal]))
         return P
 
-    def add_order_keys(self, sieves) -> bool:
-        """Give each of ``sieves`` a key that orders it as ``sorted_sieves``
-        does; False, with some left without one, when one of them is no
-        union of classes on x or two arrows into x share a label.
+    def order_key(self, ideal) -> tuple:
+        """The key that orders the sieve made of ``ideal`` as
+        ``sorted_sieves`` does.
 
-        For sets of one size, the sorted label tuple of A is below that of
-        B iff the least label in their symmetric difference lies in A.  The
-        classes are disjoint, so that label is the least label of the
-        first class, in order of least labels, that one holds and the other
-        lacks; weighting class i by 2 ** (classes after it) makes the
-        heavier union the earlier one.
+        When no two arrows into x share a label, it is read from the
+        classes.  For sets of one size, the sorted label tuple of A is
+        below that of B iff the least label in their symmetric difference
+        lies in A.  The classes are disjoint, so that label is the least
+        label of the first class, in order of least labels, that one holds
+        and the other lacks; weighting class i by 2 ** (classes after it)
+        makes the heavier union the earlier one.  Otherwise the members
+        are listed and labelled.
         """
         if self._weights is None:
             firsts = self.least_labels()
@@ -340,13 +272,16 @@ class _ObjectSieves:
                 self._weights = [0] * len(firsts)
                 for power, i in enumerate(sorted(range(len(firsts)), key=firsts.__getitem__, reverse=True)):
                     self._weights[i] = 1 << power
-        weights = self._weights
-        for S in sieves:
-            ideal = self.ideal_of(S)
-            if ideal is None or not weights:
-                return False
-            self._order_keys[S] = (self.size(ideal), -sum(map(weights.__getitem__, ideal)))
-        return True
+        if self._weights:
+            return (self.size(ideal), -sum(map(self._weights.__getitem__, ideal)))
+        if self._positions is None:
+            self._positions = {a: i for i, a in enumerate(self.C.arrows_into(self.x))}
+        members = self.members(ideal)
+        return (
+            len(members),
+            tuple(sorted(map(self.C.arrow_label, members))),
+            tuple(sorted(map(self._positions.__getitem__, members))),
+        )
 
     def least_labels(self):
         """Each class's least member label, or None when two arrows into x
@@ -365,7 +300,7 @@ class _ObjectSieves:
         """Every sieve that contains one of the sieves ``bottoms``."""
         ideals: set = set()
         for B in bottoms:
-            _down_sets(self.below, self.ideal(B), cap, self.x, ideals)
+            _down_sets(self.below, B._ideal, cap, self.x, ideals)
         return [self.sieve(ideal) for ideal in ideals]
 
 
@@ -382,7 +317,6 @@ class _TableClasses(_ObjectSieves):
         self._reps = [arrows[0] for arrows in by_key.values()]
         self._class_of = {a: i for i, cls in enumerate(self.classes) for a in cls}
         self.sizes = list(map(len, self.classes))
-        self._hash_keys = [frozenset(map(_arrow_key, cls)) for cls in self.classes]
 
     def rep(self, i):
         return self._reps[i]
@@ -395,9 +329,6 @@ class _TableClasses(_ObjectSieves):
 
     def members(self, ideal) -> frozenset:
         return frozenset().union(*map(self.classes.__getitem__, ideal))
-
-    def hash_key(self, ideal) -> frozenset:
-        return frozenset().union(*map(self._hash_keys.__getitem__, ideal))
 
 
 def _surjections(m: int, k: int) -> int:
@@ -467,9 +398,6 @@ class _ImageClasses(_ObjectSieves):
         if carrier is None or len(carrier) != len(a.images):
             return None
         return self._index.get(frozenset(a.images))
-
-    def hash_key(self, ideal) -> frozenset:
-        return frozenset(map(self.keys.__getitem__, ideal))
 
     def class_members(self, i):
         return self.members(frozenset({i}))

@@ -50,10 +50,6 @@ def gcd(a: int, b: int) -> int:
     return math.gcd(a, b)
 
 
-def lcm(a: int, b: int) -> int:
-    return math.lcm(a, b)
-
-
 def all_subsets(items):
     items = list(items)
     for r in range(len(items) + 1):

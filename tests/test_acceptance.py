@@ -57,7 +57,7 @@ from finsite.parsing import (
     serialize_topology,
     serialize_witness,
 )
-from finsite.sieves import empty_sieve, maximal_sieve, pullback_sieve
+from finsite.sieves import maximal_sieve, pullback_sieve, sieve_closure
 
 from oracles import dense_below, divisor_down_sets
 
@@ -221,10 +221,10 @@ def test_criterion_5_continuity():
             if f in cont and g in cont:
                 assert arrow.compose(g, f) in cont
     t1, t2 = maximal_sieve(arrow, 1), maximal_sieve(arrow, 2)
-    J = GrothendieckTopology(arrow, covers={1: {t1, empty_sieve(1)}, 2: {t2}})
+    J = GrothendieckTopology(arrow, covers={1: {t1, sieve_closure(arrow, 1, ())}, 2: {t2}})
     verdict = is_continuous(arrow, "f", J)
     assert not verdict.ok
-    assert verdict.witness == empty_sieve(1)
+    assert verdict.witness == sieve_closure(arrow, 1, ())
 
 
 @criterion(6, "initial topologies have the characteristic property")

@@ -25,7 +25,7 @@ from finsite.gtopology import (
     sieve_universe,
     trivial_topology,
 )
-from finsite.sieves import Sieve, empty_sieve, maximal_sieve, pullback_sieve
+from finsite.sieves import maximal_sieve, pullback_sieve, sieve_closure
 
 
 @pytest.fixture(scope="module")
@@ -120,10 +120,17 @@ class TestContinuity:
 
     def test_negative_instance_with_empty_witness(self, arrow_cat):
         t1, t2 = maximal_sieve(arrow_cat, 1), maximal_sieve(arrow_cat, 2)
-        J = GrothendieckTopology(arrow_cat, covers={1: {t1, empty_sieve(1)}, 2: {t2}})
+        J = GrothendieckTopology(arrow_cat, covers={1: {t1, sieve_closure(arrow_cat, 1, ())}, 2: {t2}})
         verdict = is_continuous(arrow_cat, "f", J)
         assert not verdict.ok
-        assert verdict.witness == empty_sieve(1)
+        assert verdict.witness == sieve_closure(arrow_cat, 1, ())
+
+    def test_domain_sieve_of_another_category(self, arrow_cat):
+        copy = FinCategory.from_data("arrow", [1, 2], {"f": (1, 2)})
+        Ldom = LocalTopology(1, frozenset({maximal_sieve(copy, 1)}))
+        Lcod = localize(trivial_topology(arrow_cat), 2)
+        with pytest.raises(StructuralError, match="holds a sieve on 1 of another category"):
+            is_continuous_local(arrow_cat, "f", Ldom, Lcod)
 
     def test_composition_closure_on_d12(self, d12):
         from finsite.gtopology import atomic_topology
@@ -241,7 +248,7 @@ class TestCoverPreserving:
         t1 = maximal_sieve(arrow_cat, 1)
         t2 = maximal_sieve(arrow_cat, 2)
         Jdom = GrothendieckTopology(
-            arrow_cat, covers={1: {t1, empty_sieve(1)}, 2: {t2, empty_sieve(2), Sieve(2, frozenset({"f"}))}}
+            arrow_cat, covers={1: {t1, sieve_closure(arrow_cat, 1, ())}, 2: {t2, sieve_closure(arrow_cat, 2, ()), sieve_closure(arrow_cat, 2, ["f"])}}
         )
         Jcod = trivial_topology(point)
         verdict = is_cover_preserving(F, Jdom, Jcod)

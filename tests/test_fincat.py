@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,25 +8,21 @@ from finsite.errors import DomainError, ResourceError, StructuralError
 from finsite.fincat import (
     FinCategory,
     FinFunction,
-    Path,
     bang,
-    binary_coproduct,
     binary_product,
     build_divisor_poset,
     build_finset_category,
     build_lcm_functor,
     build_product_category,
-    check_commutes,
     divisor_inclusion_functor,
     identity_functor,
     pair,
-    path_composite,
     search_product_cones,
     terminal_objects,
     validate_category,
     validate_functor,
 )
-from oracles import divisors, gcd, lcm
+from oracles import divisors, gcd
 
 
 @pytest.fixture(scope="module")
@@ -144,26 +142,12 @@ class TestProductsAndCoproducts:
     def test_cospan_has_no_product(self, cospan):
         assert binary_product(cospan, "X", "Y") == ()
 
-    def test_coproduct_is_lcm(self, d12):
-        cones = binary_coproduct(d12, 4, 6)
-        assert len(cones) == 1 and cones[0].apex == 12
-
-    def test_coproduct_chain(self, d12):
-        assert binary_coproduct(d12, 2, 4)[0].apex == 4
-
-    def test_cospan_coproduct(self, cospan):
-        cones = binary_coproduct(cospan, "X", "Y")
-        assert {c.apex for c in cones} == {"Z"}
-
     @pytest.mark.parametrize("n", [12, 30, 60])
     def test_gcd_lcm_oracles_all_pairs(self, n):
         C = build_divisor_poset(n)
         for a in C.objects:
             for b in C.objects:
-                prods = binary_product(C, a, b)
-                cops = binary_coproduct(C, a, b)
-                assert [c.apex for c in prods] == [gcd(a, b)]
-                assert [c.apex for c in cops] == [lcm(a, b)]
+                assert [c.apex for c in binary_product(C, a, b)] == [gcd(a, b)]
 
     def test_search_cap(self, d12):
         with pytest.raises(ResourceError):
@@ -233,14 +217,6 @@ class TestFinsetBackend:
         bg = bang(zmod2, "g", "unit")
         assert bg.images == ((), ())
 
-    def test_coproduct_apex_holds_both_carriers(self):
-        C = build_finset_category({"a": (0,), "b": (0, 1), "s": ("p", "q", "r")})
-        cones = binary_coproduct(C, "a", "b")
-        assert len(cones) == 6  # one per bijection of a + b onto s
-        for cone in cones:
-            assert len(C.carrier(cone.apex)) == len(C.carrier("a")) + len(C.carrier("b"))
-            assert set(cone.i1.images) | set(cone.i2.images) == set(C.carrier(cone.apex))
-
     def test_function_with_unknown_codomain_is_structural(self, zmod2):
         with pytest.raises(StructuralError, match="unknown object 'nope'"):
             zmod2.function("g", "nope", {0: 0, 1: 1})
@@ -287,22 +263,9 @@ class TestFinsetBackend:
 
 
 class TestPathsAndCommutes:
-    def test_identity_path(self, d12):
-        p = Path(at_object=12)
-        q = Path(at_object=12)
-        assert check_commutes(d12, p, q)
-
-    def test_empty_path_needs_object(self):
-        with pytest.raises(StructuralError):
-            Path()
-
     def test_non_composable_path_is_structural(self, d12):
         with pytest.raises(StructuralError):
-            path_composite(d12, Path(arrows=("2|4", "2|6")))
-
-    def test_mismatched_endpoints_are_structural(self, d12):
-        with pytest.raises(StructuralError):
-            check_commutes(d12, Path(arrows=("2|4",)), Path(arrows=("2|6",)))
+            d12.compose("2|6", "2|4")
 
     def test_zmod2_associativity_square(self, zmod2):
         xor = zmod2.function("g2", "g", {p: (p[0] + p[1]) % 2 for p in zmod2.carrier("g2")})
@@ -311,9 +274,7 @@ class TestPathsAndCommutes:
         mu_x_1 = pair(zmod2, cone_gg, zmod2.compose(xor, cone_ggg.p1), cone_ggg.p2)
         inner = pair(zmod2, cone_gg, zmod2.compose(cone_gg.p2, cone_ggg.p1), cone_ggg.p2)
         one_x_mu = pair(zmod2, cone_gg, zmod2.compose(cone_gg.p1, cone_ggg.p1), zmod2.compose(xor, inner))
-        assert check_commutes(
-            zmod2, Path(arrows=(mu_x_1, xor)), Path(arrows=(one_x_mu, xor))
-        )
+        assert zmod2.compose(xor, mu_x_1) == zmod2.compose(xor, one_x_mu)
 
     def test_zmod2_unit_triangle_wrong_unit_fails(self, zmod2):
         xor = zmod2.function("g2", "g", {p: (p[0] + p[1]) % 2 for p in zmod2.carrier("g2")})
@@ -321,22 +282,7 @@ class TestPathsAndCommutes:
         bad_eta = zmod2.function("unit", "g", {(): 1})
         unit_arrow = zmod2.compose(bad_eta, bang(zmod2, "g", "unit"))
         lam = pair(zmod2, cone_gg, unit_arrow, zmod2.identity("g"))
-        assert not check_commutes(
-            zmod2, Path(arrows=(lam, xor)), Path(arrows=(zmod2.identity("g"),))
-        )
-
-    @given(st.sampled_from([6, 12, 30]), st.data())
-    @settings(max_examples=30, deadline=None)
-    def test_check_commutes_reflexive(self, n, data):
-        C = build_divisor_poset(n)
-        arrows = C.all_arrows()
-        a = data.draw(st.sampled_from(arrows))
-        chain = [a]
-        for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
-            outs = [b for b in arrows if C.dom(b) == C.cod(chain[-1])]
-            chain.append(data.draw(st.sampled_from(outs)))
-        p = Path(arrows=tuple(chain))
-        assert check_commutes(C, p, p)
+        assert zmod2.compose(xor, lam) != zmod2.identity("g")
 
     @given(st.sampled_from([12, 30]), st.data())
     @settings(max_examples=30, deadline=None)
@@ -347,13 +293,13 @@ class TestPathsAndCommutes:
         for _ in range(3):
             outs = [b for b in arrows if C.dom(b) == C.cod(chain[-1])]
             chain.append(data.draw(st.sampled_from(outs)))
-        whole = path_composite(C, Path(arrows=tuple(chain)))
+
+        def composite(arrows):
+            return functools.reduce(lambda f, g: C.compose(g, f), arrows)
+
+        whole = composite(chain)
         cut = data.draw(st.integers(min_value=1, max_value=len(chain) - 1))
-        left = path_composite(C, Path(arrows=tuple(chain[:cut])))
-        right = path_composite(C, Path(arrows=tuple(chain[cut:])))
-        assert C.compose(right, left) == whole
-        grouped = Path(arrows=(left, right))
-        assert check_commutes(C, grouped, Path(arrows=tuple(chain)))
+        assert C.compose(composite(chain[cut:]), composite(chain[:cut])) == whole
 
 
 class TestProductCategory:

@@ -28,7 +28,7 @@ from finsite.gtopology import (
     topology_leq,
     trivial_topology,
 )
-from finsite.sieves import Sieve, empty_sieve, maximal_sieve, pullback_sieve, sieve_closure, sorted_sieves
+from finsite.sieves import is_sieve, maximal_sieve, pullback_sieve, sieve_closure, sorted_sieves
 
 import oracles
 from oracles import dense_below, divisor_down_sets
@@ -168,7 +168,7 @@ class TestDenseTopology:
         J = dense_topology(d12, sieve_cap=1)
         assert len(J.basis(12)) == 1
         assert J.contains(maximal_sieve(d12, 12))
-        assert not J.contains(empty_sieve(12))
+        assert not J.contains(sieve_closure(d12, 12, ()))
         with pytest.raises(ResourceError):
             sieve_universe(d12, 12, 1)
 
@@ -282,8 +282,8 @@ class TestLattice:
 
     def test_meet_on_arrow_category(self, arrow_cat):
         t1, t2 = maximal_sieve(arrow_cat, 1), maximal_sieve(arrow_cat, 2)
-        f_sieve = Sieve(2, frozenset({"f"}))
-        j5 = GrothendieckTopology(arrow_cat, covers={1: {t1, empty_sieve(1)}, 2: {t2}})
+        f_sieve = sieve_closure(arrow_cat, 2, ["f"])
+        j5 = GrothendieckTopology(arrow_cat, covers={1: {t1, sieve_closure(arrow_cat, 1, ())}, 2: {t2}})
         j3 = GrothendieckTopology(arrow_cat, covers={1: {t1}, 2: {t2, f_sieve}})
         assert meet(j5, j3) == trivial_topology_as_table(arrow_cat)
 
@@ -304,29 +304,29 @@ class TestGenerate:
         assert J == trivial_topology_as_table(d12)
 
     def test_principal_seed_on_arrow_category(self, arrow_cat):
-        f_sieve = Sieve(2, frozenset({"f"}))
+        f_sieve = sieve_closure(arrow_cat, 2, ["f"])
         J = generate_topology(arrow_cat, {2: [f_sieve]})
         assert J.covers(1) == {maximal_sieve(arrow_cat, 1)}
         assert J.covers(2) == {maximal_sieve(arrow_cat, 2), f_sieve}
 
     def test_join_forces_discrete(self, arrow_cat):
         t1, t2 = maximal_sieve(arrow_cat, 1), maximal_sieve(arrow_cat, 2)
-        f_sieve = Sieve(2, frozenset({"f"}))
-        j5 = GrothendieckTopology(arrow_cat, covers={1: {t1, empty_sieve(1)}, 2: {t2}})
+        f_sieve = sieve_closure(arrow_cat, 2, ["f"])
+        j5 = GrothendieckTopology(arrow_cat, covers={1: {t1, sieve_closure(arrow_cat, 1, ())}, 2: {t2}})
         j3 = GrothendieckTopology(arrow_cat, covers={1: {t1}, 2: {t2, f_sieve}})
         assert join(j5, j3) == discrete_topology_as_table(arrow_cat)
 
     def test_bad_seed_is_structural(self, arrow_cat):
         with pytest.raises(StructuralError):
-            generate_topology(arrow_cat, {2: [Sieve(2, frozenset({"id_2"}))]})
+            generate_topology(arrow_cat, {2: [maximal_sieve(arrow_cat, 1)]})
 
     def test_generate_is_a_closure_operator(self, arrow_cat):
-        f_sieve = Sieve(2, frozenset({"f"}))
+        f_sieve = sieve_closure(arrow_cat, 2, ["f"])
         seeds = [
             {},
             {2: [f_sieve]},
-            {1: [empty_sieve(1)]},
-            {2: [empty_sieve(2)]},
+            {1: [sieve_closure(arrow_cat, 1, ())]},
+            {2: [sieve_closure(arrow_cat, 2, ())]},
         ]
         for seed in seeds:
             J = generate_topology(arrow_cat, seed)
@@ -340,7 +340,7 @@ class TestGenerate:
             assert check_axioms(J).ok
         # monotone
         small = generate_topology(arrow_cat, {2: [f_sieve]})
-        big = generate_topology(arrow_cat, {2: [f_sieve, empty_sieve(2)]})
+        big = generate_topology(arrow_cat, {2: [f_sieve, sieve_closure(arrow_cat, 2, ())]})
         assert topology_leq(small, big)
 
     @given(st.data())
@@ -475,10 +475,10 @@ class TestBuildersAgainstOracles:
                 assert {S.members for S in J.covers(x)} == expected, (kind, x)
                 assert {B.members for B in J.basis(x)} == oracles.minimal(expected), (kind, x)
                 for S in universe:
-                    assert J.contains(Sieve(x, S)) == (S in expected), (kind, x, S)
+                    assert J.contains(sieve_closure(C, x, S)) == (S in expected), (kind, x, S)
         for x in C.objects:
-            for S in oracles.sieves_on(C, x) | {frozenset({a}) for a in C.arrows_into(x)}:
-                assert is_dense_sieve(C, Sieve(x, S)) == oracles.is_dense(C, x, S), (x, S)
+            for S in oracles.sieves_on(C, x):
+                assert is_dense_sieve(C, sieve_closure(C, x, S)) == oracles.is_dense(C, x, S), (x, S)
 
     @given(posets())
     @settings(max_examples=30, deadline=None)
@@ -510,14 +510,14 @@ def test_dense_covers_run_no_density_test(monkeypatch):
 
 
 class TestClassRoutesAgainstOracles:
-    """Pullback and ordering work one factoring class at a time on unions
-    of classes, and member by member on other arrow sets (single arrows
-    of a larger class, every other arrow); both agree with the oracles."""
+    """Pullback and ordering work one factoring class at a time; both
+    agree with the oracles on the sieve universes, the principal sieves
+    and the sieve each object's every other arrow generates."""
 
     def check(self, C):
         objs = sorted(C.objects, key=str)
         hand = {
-            x: [Sieve(x, frozenset({a})) for a in C.arrows_into(x)] + [Sieve(x, frozenset(C.arrows_into(x)[::2]))]
+            x: [sieve_closure(C, x, [a]) for a in C.arrows_into(x)] + [sieve_closure(C, x, C.arrows_into(x)[::2])]
             for x in objs
         }
 
@@ -526,7 +526,7 @@ class TestClassRoutesAgainstOracles:
                 for S in sets[C.cod(h)]:
                     assert pullback_sieve(C, h, S).members == oracles.pullback_members(C, h, S.members), (h, S)
 
-        pullbacks_agree(hand)  # before any factoring class is built
+        pullbacks_agree(hand)  # before any sieve universe is built
         universes = {x: sieve_universe(C, x) for x in objs}
         pullbacks_agree({x: list(universes[x]) + hand[x] for x in objs})
         for x in objs:
@@ -554,6 +554,73 @@ class TestClassRoutesAgainstOracles:
         self.check(FinCategory.from_data("clash", ["a", "b"], {1: ("a", "b"), "1": ("a", "b")}))
 
 
+def copy_of(C):
+    """A second category equal to C, whose sieves are its own."""
+    if C.backend == "finset":
+        return build_finset_category(C._carriers)
+    return FinCategory(C.name, C.objects, C._arrows, C._identity, C._table)
+
+
+class TestOneSieveForm:
+    """One sieve per set of classes: the closure of a sieve's members is
+    the sieve itself; a sieve of a copy of the category is refused where a
+    sieve is taken; and ``is_sieve`` agrees with the oracle on raw arrow
+    sets, the only input that is not built as a sieve."""
+
+    def check(self, C, data):
+        objs = sorted(C.objects, key=str)
+        for x in objs:
+            for S in sieve_universe(C, x):
+                assert sieve_closure(C, x, S.members) is S
+        for h in C.all_arrows():
+            for S in sieve_universe(C, C.cod(h)):
+                P = pullback_sieve(C, h, S)
+                assert sieve_closure(C, C.dom(h), P.members) is P
+        built = [build_topology(C, kind, verify=False)[0] for kind in BUILDER_ORACLES]
+        for J in built:
+            for x in objs:
+                for B in J.basis(x):
+                    assert sieve_closure(C, x, B.members) is B
+        D = copy_of(C)
+        explicit = GrothendieckTopology(C, covers={x: sieve_universe(C, x) for x in objs})
+        for x in objs:
+            T, F = maximal_sieve(C, x), maximal_sieve(D, x)
+            assert F.members == T.members and F != T and not F <= T
+            assert is_sieve(C, x, T) and not is_sieve(C, x, F)
+            with pytest.raises(StructuralError, match="another category"):
+                pullback_sieve(C, C.identity(x), F)
+            for J in (built[0], explicit):
+                with pytest.raises(StructuralError, match="another category"):
+                    J.contains(F)
+            with pytest.raises(StructuralError, match="another category"):
+                is_dense_sieve(C, F)
+            with pytest.raises(StructuralError, match="another category"):
+                generate_topology(C, {x: [F]})
+            report = check_axioms(GrothendieckTopology(C, covers={x: {T, F}}))
+            assert [(v.axiom, v.sieve) for v in report.violations] == [("well-formed", F)]
+            into = C.arrows_into(x)
+            universe = oracles.sieves_on(C, x)
+            raw = [frozenset({a}) for a in into] + [frozenset(into[::2])]
+            raw += [data.draw(st.sets(st.sampled_from(into))) for _ in range(5)]
+            for arrows in raw:
+                assert is_sieve(C, x, arrows) == (arrows in universe), (x, arrows)
+
+    @given(posets(), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_random_posets(self, C, data):
+        self.check(C, data)
+
+    @given(transformation_monoids(), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_transformation_monoids(self, C, data):
+        self.check(C, data)
+
+    @given(finset_families(), st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_finset_families_with_an_empty_carrier(self, C, data):
+        self.check(C, data)
+
+
 def test_sieve_universe_builds_one_label_per_arrow(monkeypatch):
     g = (0, 1)
     gg = tuple((a, b) for a in g for b in g)
@@ -564,6 +631,20 @@ def test_sieve_universe_builds_one_label_per_arrow(monkeypatch):
     assert len(sieve_universe(C, "g2")) == 167
     assert len(C.arrows_into("g2")) == 65812
     assert len(calls) <= 65812
+
+
+def outputs_under_two_hash_seeds(script):
+    src = str(Path(finsite.__file__).resolve().parents[1])
+    return [
+        subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for seed in ("0", "5")
+    ]
 
 
 def test_reports_on_arrows_that_print_alike_ignore_the_hash_seed():
@@ -577,16 +658,30 @@ def test_reports_on_arrows_that_print_alike_ignore_the_hash_seed():
         "covers = {'a': set(), 'b': {maximal_sieve(C, 'b'), sieve_closure(C, 'b', [1]), sieve_closure(C, 'b', ['1'])}}",
         "print(check_axioms(GrothendieckTopology(C, covers=covers)).summary(C))",
     ])
-    src = str(Path(finsite.__file__).resolve().parents[1])
-    outs = [
-        subprocess.run(
-            [sys.executable, "-c", script],
-            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout
-        for seed in ("0", "5")
-    ]
+    outs = outputs_under_two_hash_seeds(script)
     assert outs[0] == outs[1]
     assert outs[0].count("[stability] at 'b', sieve {1}, arrow 1") == 4
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+@pytest.mark.parametrize(
+    "verb, options, needle",
+    [
+        ("check-topology", {"category": "d12.cat", "topology": "broken12.gtop"}, "fail (10 violations)"),
+        ("enumerate-topologies", {"category": "cospan.cat"}, "topologies on cospan"),
+    ],
+    ids=["broken12", "cospan"],
+)
+def test_cli_reports_ignore_the_hash_seed(verb, options, needle):
+    # sieves hash by their base and class indices, so a set of sieves
+    # iterates in an order that follows the hash seed
+    options = {k: str(FIXTURES / v) for k, v in options.items()}
+    script = "\n".join([
+        "from finsite.cli import CommandRequest, run_command",
+        f"print(*run_command(CommandRequest({verb!r}, {options!r})), sep='\\n')",
+    ])
+    outs = outputs_under_two_hash_seeds(script)
+    assert outs[0] == outs[1]
+    assert needle in outs[0]

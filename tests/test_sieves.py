@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from finsite.errors import StructuralError
 from finsite.fincat import FinCategory, build_divisor_poset
 from finsite.sieves import (
-    empty_sieve,
+    Sieve,
     is_sieve,
     maximal_sieve,
     pullback_sieve,
@@ -37,7 +37,8 @@ class TestClosure:
         assert doms(d12, S) == {1, 2, 4}
 
     def test_empty_generators(self, d12):
-        assert sieve_closure(d12, 12, ()) == empty_sieve(12)
+        S = sieve_closure(d12, 12, ())
+        assert S.members == frozenset() and S.size == 0
 
     def test_union_of_divisor_sets(self, d12):
         S = sieve_closure(d12, 12, ("6|12", "4|12"))
@@ -62,6 +63,13 @@ class TestClosure:
         assert sieve_closure(C, x, S.members) == S
         # monotone
         assert S.members <= sieve_closure(C, x, more).members
+
+
+class TestConstruction:
+    def test_direct_construction_is_structural(self):
+        # a sieve is built only from the classes of its base
+        with pytest.raises(StructuralError, match="sieve_closure"):
+            Sieve(2, frozenset({"f"}))
 
 
 class TestMaximalSieve:
