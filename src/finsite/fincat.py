@@ -45,7 +45,8 @@ class FinCategory:
     ``arrows`` maps arrow id to ``(dom, cod)``; ``table`` maps a composable
     pair ``(g, f)`` (g after f) to the composite id.  Construction checks
     referential integrity and composition typing; the categorical laws are
-    the business of :func:`validate_category`.
+    the business of :func:`validate_category`.  ``all_arrows``, ``hom`` and
+    ``arrows_into`` list arrows by label (``str``), sorted once.
     """
 
     backend = "table"
@@ -58,15 +59,15 @@ class FinCategory:
         self._table = dict(table)
         self._sieve_cache: dict = {}
         self._check_structure()
-        self._hom: dict = {}
-        for a in sorted(self._arrows, key=str):
+        self._by_label = tuple(sorted(self._arrows, key=str))
+        hom: dict = {}
+        into: dict = {x: [] for x in self.objects}
+        for a in self._by_label:
             d, c = self._arrows[a]
-            self._hom.setdefault((d, c), []).append(a)
-        self._hom = {k: tuple(v) for k, v in self._hom.items()}
-        self._into = {
-            x: tuple(a for a in sorted(self._arrows, key=str) if self._arrows[a][1] == x)
-            for x in self.objects
-        }
+            hom.setdefault((d, c), []).append(a)
+            into[c].append(a)
+        self._hom = {k: tuple(v) for k, v in hom.items()}
+        self._into = {x: tuple(v) for x, v in into.items()}
 
     def _check_structure(self):
         if len(set(self.objects)) != len(self.objects):
@@ -176,7 +177,7 @@ class FinCategory:
             raise StructuralError(f"unknown object {x!r}") from None
 
     def all_arrows(self):
-        return tuple(sorted(self._arrows, key=str))
+        return self._by_label
 
     def composable_pairs(self):
         return tuple(self._table)

@@ -187,7 +187,7 @@ class _Axioms:
     ``covers`` maps objects to cover sets; it may be partial, and it may
     grow between or during the passes.  Both passes share one pullback
     cache and report in canonical order: by object, then cover, then arrow
-    label.
+    in ``C.arrows_into`` order.
     """
 
     def __init__(self, C, covers):
@@ -201,7 +201,7 @@ class _Axioms:
         are skipped."""
         C, covers = self.C, self.covers
         for x in sorted(covers, key=str):
-            into = sorted(C.arrows_into(x), key=C.arrow_label)
+            into = C.arrows_into(x)
             for S in sorted_sieves(C, covers[x]):
                 for h in into:
                     d = C.dom(h)

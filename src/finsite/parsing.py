@@ -190,7 +190,7 @@ def serialize_category(C: FinCategory) -> str:
     lines = [f"category {C.name}"]
     for x in sorted(C.objects, key=str):
         lines.append(f"object {x}")
-    for a in sorted(C.all_arrows(), key=str):
+    for a in C.all_arrows():
         if C.is_identity(a):
             continue
         lines.append(f"arrow {a} : {C.dom(a)} -> {C.cod(a)}")

@@ -13,6 +13,8 @@ arrows are listed only when asked for (``Sieve.members``, as
 ``sieve_literal`` does).  Sieves come from ``sieve_closure``,
 ``maximal_sieve``, ``pullback_sieve`` and ``sieve_universe``; a raw arrow
 set is never a ``Sieve``, and ``is_sieve`` tests whether it is one.
+Classes are numbered by their first arrow in ``C.arrows_into(x)``, and
+``sorted_sieves`` orders by those numbers: it lists and labels no arrow.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ class Sieve:
         return self._hash
 
     def __repr__(self):
-        return f"Sieve(base={self.base!r}, members={self.members!r})"
+        return f"Sieve(base={self.base!r}, classes={tuple(sorted(self._ideal))}, size={self.size})"
 
 
 def maximal_sieve(C, x) -> Sieve:
@@ -144,11 +146,11 @@ def _pullback(C, h, S: Sieve) -> Sieve:
 
 
 def sorted_sieves(C, sieves) -> list:
-    """The sieves, all on one object of C, in canonical order: by size,
-    then by sorted member labels, then by the sorted positions of the
-    members in ``C.arrows_into`` (which only orders different sets whose
-    labels agree).  Each key is computed once, from the classes where it
-    can be (see ``_ObjectSieves.order_key``)."""
+    """The sieves, all on one object x of C, in canonical order: by size,
+    then by the sorted positions of their members in ``C.arrows_into(x)``.
+    On a table category that is the order of sorted member labels, since
+    ``arrows_into`` lists arrows by label.  Each key is computed once,
+    from the classes (see ``_ObjectSieves.order_key``)."""
     sieves = list(sieves)
     if len(sieves) < 2:
         return sieves
@@ -193,9 +195,10 @@ class _ObjectSieves:
     through b, that is iff ``C.factoring_key(a)`` is a subset of
     ``C.factoring_key(b)``).  Sieves are the down-sets of the poset of
     classes; ``below[i]`` is the set of classes strictly under class i.
-    A backend lists the classes and gives, per class, a representative
-    arrow (``rep``), its size (``sizes``), ``class_of`` and the members
-    of a union of classes.
+    A backend lists the classes, numbered by their first arrow in
+    ``C.arrows_into(x)``, and gives, per class, a representative arrow
+    (``rep``), its size (``sizes``), ``class_of`` and the members of a
+    union of classes.
     """
 
     def __init__(self, C, x, keys):
@@ -208,8 +211,7 @@ class _ObjectSieves:
         self._order_keys: dict = {}  # sieve -> its key in sorted_sieves
         self._maps: dict = {}  # arrow h out of x -> class at cod(h) of h . c, per class c
         self._pulled: dict = {}  # (h, sieve on cod(h)) -> its pullback along h
-        self._weights = None  # per class, 2 ** (number of classes after it in label order)
-        self._positions = None  # arrow into x -> its position in C.arrows_into(x)
+        self._weights = None  # per class, 2 ** (number of classes after it)
 
     @property
     def below(self) -> list:
@@ -256,45 +258,17 @@ class _ObjectSieves:
         """The key that orders the sieve made of ``ideal`` as
         ``sorted_sieves`` does.
 
-        When no two arrows into x share a label, it is read from the
-        classes.  For sets of one size, the sorted label tuple of A is
-        below that of B iff the least label in their symmetric difference
-        lies in A.  The classes are disjoint, so that label is the least
-        label of the first class, in order of least labels, that one holds
-        and the other lacks; weighting class i by 2 ** (classes after it)
-        makes the heavier union the earlier one.  Otherwise the members
-        are listed and labelled.
+        For sets of one size, the sorted position tuple of A is below that
+        of B iff the first position in their symmetric difference lies in
+        A.  That position is the first arrow of the first class that one
+        holds and the other lacks, since classes are disjoint and numbered
+        by their first arrow; weighting class i by 2 ** (classes after it)
+        makes the heavier union the earlier one.
         """
         if self._weights is None:
-            firsts = self.least_labels()
-            self._weights = ()
-            if firsts is not None:
-                self._weights = [0] * len(firsts)
-                for power, i in enumerate(sorted(range(len(firsts)), key=firsts.__getitem__, reverse=True)):
-                    self._weights[i] = 1 << power
-        if self._weights:
-            return (self.size(ideal), -sum(map(self._weights.__getitem__, ideal)))
-        if self._positions is None:
-            self._positions = {a: i for i, a in enumerate(self.C.arrows_into(self.x))}
-        members = self.members(ideal)
-        return (
-            len(members),
-            tuple(sorted(map(self.C.arrow_label, members))),
-            tuple(sorted(map(self._positions.__getitem__, members))),
-        )
-
-    def least_labels(self):
-        """Each class's least member label, or None when two arrows into x
-        share a label; this labels every arrow into x."""
-        labels = {}
-        firsts = []
-        for i in range(len(self.keys)):
-            cls = {a: self.C.arrow_label(a) for a in self.class_members(i)}
-            labels.update(cls)
-            firsts.append(min(cls.values()))
-        if len(set(labels.values())) < len(labels):
-            return None
-        return firsts
+            n = len(self.keys)
+            self._weights = [1 << (n - 1 - i) for i in range(n)]
+        return (self.size(ideal), -sum(map(self._weights.__getitem__, ideal)))
 
     def above(self, bottoms, cap):
         """Every sieve that contains one of the sieves ``bottoms``."""
@@ -324,9 +298,6 @@ class _TableClasses(_ObjectSieves):
     def class_of(self, a):
         return self._class_of.get(a)
 
-    def class_members(self, i):
-        return self.classes[i]
-
     def members(self, ideal) -> frozenset:
         return frozenset().union(*map(self.classes.__getitem__, ideal))
 
@@ -334,12 +305,6 @@ class _TableClasses(_ObjectSieves):
 def _surjections(m: int, k: int) -> int:
     """The number of maps from an m-set onto a k-set."""
     return sum((-1) ** j * math.comb(k, j) * (k - j) ** m for j in range(k + 1))
-
-
-def _prefix_free(words) -> bool:
-    """Whether no word is a prefix of another (or equal to it)."""
-    words = sorted(words)
-    return not any(b.startswith(a) for a, b in zip(words, words[1:]))
 
 
 class _ImageClasses(_ObjectSieves):
@@ -350,10 +315,12 @@ class _ImageClasses(_ObjectSieves):
     image subsets A of x's carrier that some arrow realizes: the nonempty
     ones up to the largest carrier's size, and the empty one when some
     carrier is empty.  Class A holds surj(|dom|, |A|) arrows from each
-    domain.  Classes are indexed in their order of first appearance in
-    ``C.arrows_into(x)``; the first arrow of A from an m-element domain
-    sends the first m - |A| + 1 elements to A's first element (in carrier
-    order) and the rest to A's other elements in turn.
+    domain.  Classes are numbered, as on tables, by their first arrow in
+    ``C.arrows_into(x)`` (hom-sets in object order, each in the order of
+    its image tuples), found without listing a hom-set: the first arrow
+    of A from an m-element domain sends the first m - |A| + 1 elements to
+    A's first element (in carrier order) and the rest to A's other
+    elements in turn.
     """
 
     def __init__(self, C, x):
@@ -377,7 +344,6 @@ class _ImageClasses(_ObjectSieves):
         super().__init__(C, x, [frozenset(carrier[i] for i in image) for _, _, image in firsts])
         self._index = {A: i for i, A in enumerate(self.keys)}
         self._firsts = [(C.objects[d], tuple(carrier[i] for i in first)) for d, first, _ in firsts]
-        self._carrier_sizes = sizes
         by_k = {k: sum(_surjections(m, k) for m in sizes) for k in ks}
         self.sizes = [by_k[len(A)] for A in self.keys]
 
@@ -399,9 +365,6 @@ class _ImageClasses(_ObjectSieves):
             return None
         return self._index.get(frozenset(a.images))
 
-    def class_members(self, i):
-        return self.members(frozenset({i}))
-
     def members(self, ideal) -> frozenset:
         """The arrows of the classes in ``ideal``; the hom cap bounds how
         many come from one domain."""
@@ -422,39 +385,6 @@ class _ImageClasses(_ObjectSieves):
                     FinFunction(d, x, f) for f in itertools.product(A, repeat=m) if len(set(f)) == len(A)
                 )
         return frozenset(out)
-
-    def least_labels(self):
-        """Each class's least label, read from the element reprs.
-
-        Label bodies are element reprs each followed by ',' (the last by
-        ']').  When neither kind of token, nor any domain's label prefix,
-        is a prefix of another, labels are distinct and compare token by
-        token; the least arrow of a class from an m-element domain then
-        repeats the image's least token m - |A| + 1 times and lists the
-        others once, in token order.  Otherwise every arrow is labelled.
-        """
-        C, x = self.C, self.x
-        words = {e: repr(e) for e in C.carrier(x)}
-        heads = [f"{d}->{x}[" for d in C.objects]
-        tokens = (
-            [w + "," for w in words.values()],
-            [w + "]" for w in words.values()],
-            heads,
-        )
-        if not all(map(_prefix_free, tokens)):
-            return super().least_labels()
-        firsts = []
-        for A in self.keys:
-            ws = sorted((words[e] for e in A), key=lambda w: w + ",")
-            k = len(ws)
-            firsts.append(
-                min(
-                    head + ",".join(ws[:1] * (m - k + 1) + ws[1:]) + "]"
-                    for head, m in zip(heads, self._carrier_sizes)
-                    if (m >= k if k else m == 0)
-                )
-            )
-        return firsts
 
 
 def _down_sets(below, seed, cap, obj, out):

@@ -99,6 +99,16 @@ def pullback_members(C, h, S) -> frozenset:
     return frozenset(g for g in C.arrows_into(C.dom(h)) if C.compose(h, g) in S)
 
 
+def position_order(C, sets) -> list:
+    """Arrow sets by size, then by the sorted positions of their members
+    among the arrows into their codomain."""
+
+    def position(a):
+        return C.arrows_into(C.cod(a)).index(a)
+
+    return sorted(sets, key=lambda S: (len(S), sorted(map(position, S))))
+
+
 def label_order(C, sets) -> list:
     """Arrow sets by size, then by their sorted member labels, then by the
     sorted positions of their members among the arrows into their

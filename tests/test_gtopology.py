@@ -362,17 +362,18 @@ class TestAxiomEngine:
     """Outputs pinned against the implementation that had one copy of the
     stability and transitivity checks per caller."""
 
-    def test_finset_report_orders_stability_by_arrow_label(self):
-        # arrows into b come as hom(b, b) then hom(a, b), not in label order
+    def test_finset_report_orders_stability_by_arrows_into(self):
+        # arrows into b come as hom(b, b) then hom(a, b), not in label
+        # order, and the stability lines follow them
         F = build_finset_category({"b": (0, 1), "a": ("x",)}, name="two")
         S0 = sieve_closure(F, "b", [F.function("b", "b", {0: 0, 1: 0})])
         J = GrothendieckTopology(F, name="broken", covers={"b": {maximal_sieve(F, "b"), S0}})
         assert check_axioms(J).summary(F) == (
             "fail (4 violations)\n"
-            "  [stability] at 'b', sieve {a->b[0], b->b[0,0]}, arrow a->b[1]: pullback {} is not a cover at 'a'\n"
             "  [stability] at 'b', sieve {a->b[0], b->b[0,0]}, arrow b->b[1,0]: "
             "pullback {a->b[1], b->b[1,1]} is not a cover at 'b'\n"
             "  [stability] at 'b', sieve {a->b[0], b->b[0,0]}, arrow b->b[1,1]: pullback {} is not a cover at 'b'\n"
+            "  [stability] at 'b', sieve {a->b[0], b->b[0,0]}, arrow a->b[1]: pullback {} is not a cover at 'a'\n"
             "  [transitivity] at 'b', sieve {a->b[0], a->b[1], b->b[0,0], b->b[1,1]}: "
             "forced by cover {a->b[0], b->b[0,0]} but not a cover"
         )
@@ -529,10 +530,18 @@ class TestClassRoutesAgainstOracles:
         pullbacks_agree(hand)  # before any sieve universe is built
         universes = {x: sieve_universe(C, x) for x in objs}
         pullbacks_agree({x: list(universes[x]) + hand[x] for x in objs})
+        # a table lists arrows by label, so with distinct labels position
+        # order is label order
+        labels = list(map(C.arrow_label, C.all_arrows()))
+        by_label = C.backend == "table" and len(set(labels)) == len(labels)
         for x in objs:
+            if C.backend == "table":
+                assert list(C.arrows_into(x)) == sorted(C.arrows_into(x), key=C.arrow_label)
             for sets in (list(universes[x]), hand[x], hand[x] + list(universes[x])):
-                expected = oracles.label_order(C, [S.members for S in sets])
-                assert [S.members for S in sorted_sieves(C, sets)] == expected, x
+                got = [S.members for S in sorted_sieves(C, sets)]
+                assert got == oracles.position_order(C, [S.members for S in sets]), x
+                if by_label:
+                    assert got == oracles.label_order(C, [S.members for S in sets]), x
 
     @given(posets())
     @settings(max_examples=30, deadline=None)
@@ -550,7 +559,8 @@ class TestClassRoutesAgainstOracles:
         self.check(C)
 
     def test_arrows_that_share_a_label(self):
-        # the ids 1 and "1" print alike, so only label tuples can order them
+        # the ids 1 and "1" print alike; arrows_into lists them in the order
+        # they were given, and their sieves are ordered by that position
         self.check(FinCategory.from_data("clash", ["a", "b"], {1: ("a", "b"), "1": ("a", "b")}))
 
 
@@ -661,6 +671,23 @@ def test_reports_on_arrows_that_print_alike_ignore_the_hash_seed():
     outs = outputs_under_two_hash_seeds(script)
     assert outs[0] == outs[1]
     assert outs[0].count("[stability] at 'b', sieve {1}, arrow 1") == 4
+
+
+def test_finset_universes_on_objects_that_print_alike_ignore_the_hash_seed():
+    # arrows from 1 and "1" print alike, and each image class holds some
+    # from both; the universes are ordered without labelling them
+    script = "\n".join([
+        "from finsite.fincat import build_finset_category",
+        "from finsite.gtopology import sieve_universe",
+        "from finsite.sieves import sieve_literal",
+        "C = build_finset_category({1: (0, 1), '1': (0, 1), 'e': ()})",
+        "for x in C.objects:",
+        "    for S in sieve_universe(C, x):",
+        "        print(repr(S), sieve_literal(C, S))",
+    ])
+    outs = outputs_under_two_hash_seeds(script)
+    assert outs[0] == outs[1]
+    assert "Sieve(base=1, classes=(0, 3), size=3) {1->1[0,0], 1->1[0,0], e->1[]}\n" in outs[0]
 
 
 FIXTURES = Path(__file__).parent / "fixtures"

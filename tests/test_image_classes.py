@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 import oracles
 from finsite.algebra import group_witness
 from finsite.errors import ResourceError
-from finsite.fincat import build_finset_category
+from finsite.fincat import FinSetCategory, build_finset_category
 from finsite.gtopgroup import is_gtop_algebraic_object
 from finsite.gtopology import build_topology, sieve_universe
-from finsite.sieves import _sieves_on, maximal_sieve, pullback_sieve, sieve_closure, sorted_sieves
+from finsite.sieves import maximal_sieve, pullback_sieve, sieve_closure, sorted_sieves
 
 KINDS = ("trivial", "discrete", "dense", "atomic")
 
@@ -66,44 +66,38 @@ class TestImageClassesAgainstOracles:
                 assert len(S) == len(T)
                 assert all((a in S) == (a in T) for a in into)
             assert {S.members for S in sieve_universe(C, x)} == universes[x]
-            expected = oracles.label_order(C, list(universes[x]))
+            expected = oracles.position_order(C, list(universes[x]))
             assert [S.members for S in sorted_sieves(C, program[x].values())] == expected
-            sieves = _sieves_on(C, x)
-            labels = {}
-            for a in into:
-                labels.setdefault(frozenset(a.images), []).append(C.arrow_label(a))
-            assert sieves.least_labels() == [min(labels[A]) for A in sieves.keys]
         for h in C.all_arrows():
             for T, S in program[C.cod(h)].items():
                 assert pullback_sieve(C, h, S).members == oracles.pullback_members(C, h, T), (h, T)
 
     def test_prefix_reprs_are_ordered_without_labelling_arrows(self, monkeypatch):
-        C = family([(1, 10), ("a", "a,"), (1, 10, "a,")])
+        # element reprs that are prefixes of one another, and domains 1 and
+        # "1" whose arrows print alike
+        families = [
+            family([(1, 10), ("a", "a,"), (1, 10, "a,")]),
+            build_finset_category({1: (0, 1), "1": (0, 1), "e": ()}),
+        ]
         calls = []
-        original = type(C).arrow_label
-        monkeypatch.setattr(type(C), "arrow_label", lambda self, a: calls.append(a) or original(self, a))
-        for x in C.objects:
-            sieve_universe(C, x)
-        assert calls == []
-        assert C._hom_cache == {}
-
+        original = FinSetCategory.arrow_label
+        monkeypatch.setattr(FinSetCategory, "arrow_label", lambda self, a: calls.append(a) or original(self, a))
+        for C in families:
+            for x in C.objects:
+                sieve_universe(C, x)
+            assert calls == []
+            assert C._hom_cache == {}
 
     @pytest.mark.parametrize("sizes", [(2, 1), (2, 2)])
     def test_objects_that_print_alike(self, sizes):
-        # the domains 1 and "1" give arrows the same label prefix, so every
-        # arrow is labelled; with equal carriers their labels collide and
-        # sieves are ordered by label tuples
+        # the domains 1 and "1" give arrows the same label prefix; with
+        # equal carriers their labels collide, and sieves are still ordered
+        # by the positions of their members in arrows_into
         C = build_finset_category({1: tuple(range(sizes[0])), "1": tuple(range(sizes[1])), "e": ()})
         for x in C.objects:
-            labels = {}
-            for a in C.arrows_into(x):
-                labels.setdefault(frozenset(a.images), []).append(C.arrow_label(a))
-            firsts = [min(labels[A]) for A in _sieves_on(C, x).keys]
-            collide = sum(map(len, labels.values())) > len(set().union(*labels.values()))
-            assert _sieves_on(C, x).least_labels() == (None if collide else firsts)
             universe = oracles.sieves_on(C, x)
             program = [sieve_closure(C, x, T) for T in universe]
-            assert [S.members for S in sorted_sieves(C, program)] == oracles.label_order(C, list(universe))
+            assert [S.members for S in sorted_sieves(C, program)] == oracles.position_order(C, list(universe))
 
 
 class TestGroupObjectsWithoutHomSets:
@@ -129,6 +123,17 @@ class TestGroupObjectsWithoutHomSets:
         got = {frozenset(A for A in classes if reps[A] in S) for S in report.product_local.sieves}
         assert got == local
         assert C._hom_cache == {}
+
+    def test_repr_names_classes_not_arrows(self):
+        C = group_family(3)
+        S = maximal_sieve(C, "g2")
+        assert repr(S).startswith("Sieve(base='g2', classes=(0, 1, 2, ")
+        assert repr(S).endswith(f", 510), size={S.size})")
+        assert C._hom_cache == {}
+        # one repr per sieve of the category, as comparisons of cover sets
+        # through repr need
+        sieves = [*sieve_universe(C, "unit"), *sieve_universe(C, "g")]
+        assert len(set(map(repr, sieves))) == len(sieves)
 
     def test_classes_at_g3_on_z3_hit_the_hom_cap(self):
         C = group_family(3)
