@@ -211,7 +211,6 @@ class _ObjectSieves:
         self._order_keys: dict = {}  # sieve -> its key in sorted_sieves
         self._maps: dict = {}  # arrow h out of x -> class at cod(h) of h . c, per class c
         self._pulled: dict = {}  # (h, sieve on cod(h)) -> its pullback along h
-        self._weights = None  # per class, 2 ** (number of classes after it)
 
     @property
     def below(self) -> list:
@@ -256,19 +255,16 @@ class _ObjectSieves:
 
     def order_key(self, ideal) -> tuple:
         """The key that orders the sieve made of ``ideal`` as
-        ``sorted_sieves`` does.
+        ``sorted_sieves`` does: its size, then its sorted classes.
 
         For sets of one size, the sorted position tuple of A is below that
         of B iff the first position in their symmetric difference lies in
         A.  That position is the first arrow of the first class that one
         holds and the other lacks, since classes are disjoint and numbered
-        by their first arrow; weighting class i by 2 ** (classes after it)
-        makes the heavier union the earlier one.
+        by their first arrow; so the sorted class tuples compare alike.
+        Neither tuple is a prefix of the other, as every class is nonempty.
         """
-        if self._weights is None:
-            n = len(self.keys)
-            self._weights = [1 << (n - 1 - i) for i in range(n)]
-        return (self.size(ideal), -sum(map(self._weights.__getitem__, ideal)))
+        return (self.size(ideal), tuple(sorted(ideal)))
 
     def above(self, bottoms, cap):
         """Every sieve that contains one of the sieves ``bottoms``."""

@@ -99,6 +99,55 @@ def pullback_members(C, h, S) -> frozenset:
     return frozenset(g for g in C.arrows_into(C.dom(h)) if C.compose(h, g) in S)
 
 
+def topology_ok(C, covers) -> bool:
+    """Whether ``covers`` (object -> set of sieves on it) is a Grothendieck
+    topology: the maximal sieve covers, every pullback of a cover along an
+    arrow into its object covers, and every sieve that pulls back to a
+    cover along each member of some cover covers, scanning every sieve."""
+    for x in C.objects:
+        cov = covers[x]
+        if frozenset(C.arrows_into(x)) not in cov:
+            return False
+        for S in cov:
+            for h in C.arrows_into(x):
+                if pullback_members(C, h, S) not in covers[C.dom(h)]:
+                    return False
+        for R in sieves_on(C, x):
+            if R not in cov and any(
+                all(pullback_members(C, h, R) in covers[C.dom(h)] for h in S) for S in cov
+            ):
+                return False
+    return True
+
+
+def up_set(C, x, least) -> set[frozenset]:
+    """The sieves on x that contain ``least``."""
+    return {S for S in sieves_on(C, x) if least <= S}
+
+
+def generated(C, seed) -> dict:
+    """The least topology whose covers include ``seed`` (object -> sieves):
+    from the seed and the maximal sieves, add every pullback of a cover and
+    every sieve forced by a cover until nothing is added."""
+    covers = {x: {frozenset(C.arrows_into(x)), *seed.get(x, ())} for x in C.objects}
+    universes = {x: sieves_on(C, x) for x in C.objects}
+    grew = True
+    while grew:
+        grew = False
+        for x in C.objects:
+            for S in list(covers[x]):
+                for h in C.arrows_into(x):
+                    P = pullback_members(C, h, S)
+                    if P not in covers[C.dom(h)]:
+                        covers[C.dom(h)].add(P)
+                        grew = True
+            for R in universes[x] - covers[x]:
+                if any(all(pullback_members(C, h, R) in covers[C.dom(h)] for h in S) for S in covers[x]):
+                    covers[x].add(R)
+                    grew = True
+    return covers
+
+
 def position_order(C, sets) -> list:
     """Arrow sets by size, then by the sorted positions of their members
     among the arrows into their codomain."""

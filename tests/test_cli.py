@@ -51,6 +51,15 @@ class TestExitCodes:
         code, report = run("enumerate-topologies", category=d12_file, cap_candidates=10)
         assert code == 2 and "resource error" in report
 
+    def test_a_valid_topology_is_verified_without_a_sieve_universe(self, d12_file):
+        # the universe at 12 has 10 sieves; the dense covers there are 9
+        code, report = run("make-topology", category=d12_file, kind="dense", cap_sieves=9)
+        assert code == 0 and report.endswith("\naxioms: pass")
+
+    def test_a_failing_topology_lists_its_universes_under_the_cap(self, d12_file):
+        code, report = run("check-topology", category=d12_file, topology=str(FIXTURES / "broken12.gtop"), cap_sieves=9)
+        assert (code, report) == (2, "resource error: object '12' has more than 9 sieves")
+
     def test_property_failure_is_one(self, arrow_file, tmp_path):
         j5 = tmp_path / "j5.gtop"
         j5.write_text("topology j5 on arrow\ncover 1 : {}\n")
@@ -256,6 +265,14 @@ class TestGoldenReports:
         code, report = run("make-topology", category=str(cat), kind=kind)
         assert code == 0
         assert report + "\n" == (FIXTURES / f"d60-{kind}.report").read_text()
+
+    @pytest.mark.parametrize("first", ["dense12", "broken12"])
+    def test_join_with_j3_on_d12(self, d12_file, first):
+        # broken12 is no topology, so the join closes an invalid seed
+        fixtures = {"topology": f"{first}.gtop", "topology2": "j3-d12.gtop"}
+        code, report = run("join", category=d12_file, **{k: str(FIXTURES / v) for k, v in fixtures.items()})
+        assert code == 0
+        assert report + "\n" == (FIXTURES / f"{first}-join-j3.report").read_text()
 
     def test_trivial_on_a_large_product_needs_no_sieve_universe(self, tmp_path, d36_file):
         product = tmp_path / "p.cat"

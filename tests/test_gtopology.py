@@ -11,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import finsite
+from finsite import gtopology
 from finsite.errors import ResourceError, StructuralError
 from finsite.fincat import FinCategory, build_divisor_poset, build_finset_category
 from finsite.gtopology import (
     GrothendieckTopology,
+    atomic_topology,
     build_topology,
     check_axioms,
     dense_topology,
@@ -28,7 +30,7 @@ from finsite.gtopology import (
     topology_leq,
     trivial_topology,
 )
-from finsite.sieves import is_sieve, maximal_sieve, pullback_sieve, sieve_closure, sorted_sieves
+from finsite.sieves import _ObjectSieves, is_sieve, maximal_sieve, pullback_sieve, sieve_closure, sorted_sieves
 
 import oracles
 from oracles import dense_below, divisor_down_sets
@@ -629,6 +631,105 @@ class TestOneSieveForm:
     @settings(max_examples=10, deadline=None)
     def test_finset_families_with_an_empty_carrier(self, C, data):
         self.check(C, data)
+
+
+class TestLeastCoversAgainstOracles:
+    """Verdicts, generated topologies and joins against the brute-force
+    oracles, on random cover assignments: half give each object every
+    sieve above one random sieve, the form each topology takes, and half
+    a few random sieves."""
+
+    def assignment(self, C, data):
+        upsets = data.draw(st.booleans())
+        covers = {}
+        for x in sorted(C.objects, key=str):
+            universe = oracles.position_order(C, oracles.sieves_on(C, x))
+            if upsets:
+                least = data.draw(st.sampled_from(universe))
+                covers[x] = {S for S in universe if least <= S}
+            else:
+                covers[x] = set(data.draw(st.lists(st.sampled_from(universe), max_size=4)))
+        return covers
+
+    def sieves(self, C, covers):
+        return {x: {sieve_closure(C, x, S) for S in cov} for x, cov in covers.items()}
+
+    def members(self, J):
+        return {x: {S.members for S in J.covers(x)} for x in J.category.objects}
+
+    def check(self, C, data):
+        first, second = self.assignment(C, data), self.assignment(C, data)
+        J1 = GrothendieckTopology(C, covers=self.sieves(C, first))
+        J2 = GrothendieckTopology(C, covers=self.sieves(C, second))
+        valid = oracles.topology_ok(C, first)
+        # a rejection runs the full passes, so the decision is tested alone too
+        assert gtopology._is_topology(J1) == check_axioms(J1).ok == valid
+        least = {x: functools.reduce(frozenset.intersection, cov) for x, cov in first.items() if cov}
+        if len(least) == len(first):  # the same sieves, held as a basis
+            basis = GrothendieckTopology(C, basis=lambda x: (sieve_closure(C, x, least[x]),))
+            valid = oracles.topology_ok(C, {x: oracles.up_set(C, x, L) for x, L in least.items()})
+            assert gtopology._is_topology(basis) == check_axioms(basis).ok == valid
+        J = generate_topology(C, self.sieves(C, first))
+        assert self.members(J) == oracles.generated(C, first)
+        assert check_axioms(J).ok
+        both = {x: first[x] | second[x] for x in C.objects}
+        assert self.members(join(J1, J2)) == oracles.generated(C, both)
+
+    @given(posets(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_random_posets(self, C, data):
+        self.check(C, data)
+
+    @given(transformation_monoids(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_transformation_monoids(self, C, data):
+        self.check(C, data)
+
+    @given(finset_families(), st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_finset_families_with_an_empty_carrier(self, C, data):
+        self.check(C, data)
+
+
+class TestLeastCoverCounts:
+    """A topology is verified with one pullback per arrow, and joined
+    without a sieve universe; D_360 has 180 arrows."""
+
+    @pytest.fixture
+    def pullbacks(self, monkeypatch):
+        calls = []
+        original = _ObjectSieves.pullback
+        monkeypatch.setattr(_ObjectSieves, "pullback", lambda self, h, S: calls.append(h) or original(self, h, S))
+        return calls
+
+    @pytest.mark.parametrize("kind", sorted(BUILDER_ORACLES))
+    def test_verifying_a_named_topology_on_d360(self, kind, pullbacks):
+        C = build_divisor_poset(360)
+        assert len(C.all_arrows()) == 180
+        _, report = build_topology(C, kind)
+        assert report.ok
+        assert len(pullbacks) <= 180
+
+    def test_a_cap_hit_while_deciding_raises_what_the_passes_raise(self, pullbacks):
+        # arrows_into('g3') needs hom(g3, g3), 8^8 arrows, so the decision
+        # stops before any pullback; the passes then list the dense covers
+        # at g3 and stop at the sieve cap
+        g = (0, 1)
+        gg = tuple((a, b) for a in g for b in g)
+        C = build_finset_category({"unit": ((),), "g": g, "g2": gg, "g3": tuple((p, c) for p in gg for c in g)})
+        with pytest.raises(ResourceError, match="'g3' has more than 20000 sieves"):
+            build_topology(C, "dense")
+        assert pullbacks == []
+
+    def test_joining_dense_and_atomic_on_d360(self, pullbacks, monkeypatch):
+        C = build_divisor_poset(360)
+        universes = []
+        original = gtopology.sieve_universe
+        monkeypatch.setattr(gtopology, "sieve_universe", lambda *a, **k: universes.append(a) or original(*a, **k))
+        J = join(dense_topology(C), atomic_topology(C))
+        assert len(pullbacks) <= 360
+        assert universes == []
+        assert all(J.basis(x) == dense_topology(C).basis(x) for x in C.objects)
 
 
 def test_sieve_universe_builds_one_label_per_arrow(monkeypatch):

@@ -7,6 +7,8 @@ it gives: the group objects on {unit, g, g2, g3} are checked without
 listing a hom-set.
 """
 
+import tracemalloc
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -16,8 +18,8 @@ from finsite.algebra import group_witness
 from finsite.errors import ResourceError
 from finsite.fincat import FinSetCategory, build_finset_category
 from finsite.gtopgroup import is_gtop_algebraic_object
-from finsite.gtopology import build_topology, sieve_universe
-from finsite.sieves import maximal_sieve, pullback_sieve, sieve_closure, sorted_sieves
+from finsite.gtopology import build_topology, dense_topology, sieve_universe
+from finsite.sieves import _sieves_on, maximal_sieve, pullback_sieve, sieve_closure, sorted_sieves
 
 KINDS = ("trivial", "discrete", "dense", "atomic")
 
@@ -142,3 +144,21 @@ class TestGroupObjectsWithoutHomSets:
                 ask(C, "g3")
             assert err.value.cap_name == "homs"
 
+
+    def test_ordering_sieves_on_z4_keeps_no_weight_per_class(self):
+        # g2 has 65 535 image classes; a key that weighs each class by a
+        # power of two would hold about n^2 / 16 bytes of weights
+        C = group_family(4)
+        space = _sieves_on(C, "g2")
+        assert len(space.keys) == 65535
+        (dense,) = dense_topology(C).basis("g2")
+        pairs = space.sieve(frozenset(i for i, A in enumerate(space.keys) if len(A) <= 2))
+        top = maximal_sieve(C, "g2")
+        tracemalloc.start()
+        try:
+            ordered = sorted_sieves(C, [top, pairs, dense])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ordered == [dense, pairs, top]
+        assert peak < 4 * 2**20
