@@ -22,8 +22,6 @@ violation.
 
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -37,6 +35,7 @@ from .errors import (
 from .sieves import (
     Sieve,
     _not_on,
+    _pullback,
     _sieves_on,
     maximal_sieve,
     pullback_sieve,
@@ -70,12 +69,13 @@ class GrothendieckTopology:
     exactly one of two forms:
 
     * ``covers`` maps objects to cover sets (an object left out gets the
-      maximal sieve alone).  Parsed, enumerated and met topologies take
-      this form; they need not satisfy the axioms.
+      maximal sieve alone).  Parsed and met topologies take this form;
+      they need not satisfy the axioms.
     * ``basis(x)`` returns the minimal covers at x; the covers at x are the
       sieves that contain one of them, enumerated on first use under
-      ``sieve_cap``.  The named builders and generated topologies take
-      this form.
+      ``sieve_cap``.  The named builders and generated and enumerated
+      topologies take this form; the last two give one least cover per
+      object.
 
     The ``basis`` method returns the sorted cover set in the first form
     and the sorted minimal covers in the second.
@@ -275,51 +275,6 @@ class AxiomReport:
         return "\n".join(lines)
 
 
-class _Axioms:
-    """The stability and transitivity passes over a cover assignment.
-
-    ``covers`` maps objects to cover sets; it may be partial, and it may
-    grow between or during the passes.  Both passes share one pullback
-    cache and report in canonical order: by object, then cover, then arrow
-    in ``C.arrows_into`` order.
-    """
-
-    def __init__(self, C, covers):
-        self.C = C
-        self.covers = covers
-        self.pullback = functools.lru_cache(maxsize=None)(functools.partial(pullback_sieve, C))
-
-    def unstable(self):
-        """``(x, S, h, h*(S))`` for every cover S at x and arrow h into x
-        whose pullback is not a cover; arrows out of unassigned objects
-        are skipped."""
-        C, covers = self.C, self.covers
-        for x in sorted(covers, key=str):
-            into = C.arrows_into(x)
-            for S in sorted_sieves(C, covers[x]):
-                for h in into:
-                    d = C.dom(h)
-                    if d in covers:
-                        P = self.pullback(h, S)
-                        if P not in covers[d]:
-                            yield x, S, h, P
-
-    def unforced(self, universe):
-        """``(x, R, S)`` for every sieve R in ``universe(x)`` that is not a
-        cover although it pulls back to a cover along every member of the
-        cover S; S is the first such cover."""
-        C, covers = self.C, self.covers
-        for x in sorted(covers, key=str):
-            cov = sorted_sieves(C, covers[x])
-            for R in universe(x):
-                if R in covers[x]:
-                    continue
-                for S in cov:
-                    if all(self.pullback(h, R) in covers[C.dom(h)] for h in S.members):
-                        yield x, R, S
-                        break
-
-
 def check_axioms(J: GrothendieckTopology, sieve_cap: int = DEFAULT_SIEVE_CAP) -> AxiomReport:
     """Verify maximality, stability and transitivity, exhaustively.
 
@@ -336,10 +291,10 @@ def check_axioms(J: GrothendieckTopology, sieve_cap: int = DEFAULT_SIEVE_CAP) ->
     except FinsiteError:
         pass  # the passes below decide on their own, and raise what they hit
     C = J.category
+    objs = sorted(C.objects, key=str)
     violations = []
     covers = {x: J.covers(x) for x in C.objects}
-    axioms = _Axioms(C, covers)
-    for x in sorted(C.objects, key=str):
+    for x in objs:
         tx = maximal_sieve(C, x)
         if tx not in covers[x]:
             violations.append(AxiomViolation("maximality", x, tx, None, "maximal sieve is not a cover"))
@@ -348,12 +303,24 @@ def check_axioms(J: GrothendieckTopology, sieve_cap: int = DEFAULT_SIEVE_CAP) ->
             violations.append(AxiomViolation("well-formed", x, S, None, f"{malformed[S]} stored at {x!r}"))
         if malformed:  # the other passes see only the sieves on x
             covers[x] = covers[x].difference(malformed)
-    for x, S, h, P in axioms.unstable():
-        detail = f"pullback {sieve_literal(C, P)} is not a cover at {C.dom(h)!r}"
-        violations.append(AxiomViolation("stability", x, S, h, detail))
-    for x, R, S in axioms.unforced(lambda x: sieve_universe(C, x, sieve_cap)):
-        detail = f"forced by cover {sieve_literal(C, S)} but not a cover"
-        violations.append(AxiomViolation("transitivity", x, R, None, detail))
+    into = {x: C.arrows_into(x) for x in objs}  # a hom cap is hit before any pullback
+    for x in objs:
+        for S in sorted_sieves(C, covers[x]):
+            for h in into[x]:
+                P = _pullback(C, h, S)
+                if P not in covers[C.dom(h)]:
+                    detail = f"pullback {sieve_literal(C, P)} is not a cover at {C.dom(h)!r}"
+                    violations.append(AxiomViolation("stability", x, S, h, detail))
+    for x in objs:
+        cov = sorted_sieves(C, covers[x])
+        for R in sieve_universe(C, x, sieve_cap):
+            if R in covers[x]:
+                continue
+            for S in cov:  # the first cover along whose members R pulls back to covers
+                if all(_pullback(C, h, R) in covers[C.dom(h)] for h in S.members):
+                    detail = f"forced by cover {sieve_literal(C, S)} but not a cover"
+                    violations.append(AxiomViolation("transitivity", x, R, None, detail))
+                    break
     return AxiomReport(not violations, tuple(violations))
 
 
@@ -447,48 +414,56 @@ def enumerate_topologies(
     sieve_cap: int = DEFAULT_SIEVE_CAP,
     candidate_cap: int = DEFAULT_CANDIDATE_CAP,
 ):
-    """All Grothendieck topologies on a small category.
+    """All Grothendieck topologies on a small category, each in basis form:
+    its least cover at each object (see ``_is_topology``).
 
-    Searches the product of per-object sieve subsets that contain the
-    maximal sieve, pruning partial assignments that already break
-    stability, then deciding each full assignment on its least covers.
-    The size of that product is compared with the candidate cap before
-    any subset is built.
+    Searches one least cover L(x) per object from the sieve universe at x,
+    taking objects by their number of factoring classes (a linear
+    extension on posets), then by ``str``.  A pick is kept only while the
+    two conditions of ``_is_topology`` hold on what is picked: stability
+    along every arrow whose two ends are picked, checked once the later
+    end is, and L(y) inside the sieve it forces for every y whose forced
+    sieve reads only picked objects, that is once y and the domain of
+    every class representative at y are picked.  So every leaf is a
+    topology.  The candidate cap counts the picks visited.
     """
-    objs = sorted(C.objects, key=str)
-    universes = {x: sieve_universe(C, x, sieve_cap) for x in objs}
-    total = 1
+    universes = {x: sieve_universe(C, x, sieve_cap) for x in sorted(C.objects, key=str)}
+    objs = sorted(universes, key=lambda x: (len(_sieves_on(C, x).keys), str(x)))
+    pos = {x: i for i, x in enumerate(objs)}
+    arrows = [[] for _ in objs]  # (x, h) for each arrow h into x, under the later of its two ends
+    forced = [[] for _ in objs]  # each y, under the last object its forced sieve reads
     for x in objs:
-        total *= 2 ** (len(universes[x]) - 1)
-        if total > candidate_cap:
-            raise ResourceError(
-                f"topology enumeration over ~{total} candidates exceeds the candidate cap {candidate_cap}",
-                cap_name="candidates",
-                cap_value=candidate_cap,
-            )
-    options = {}
-    for x in objs:
-        tx = maximal_sieve(C, x)
-        rest = [S for S in universes[x] if S != tx]
-        options[x] = [
-            frozenset({tx, *combo}) for r in range(len(rest) + 1) for combo in itertools.combinations(rest, r)
-        ]
+        sieves = _sieves_on(C, x)
+        for h in C.arrows_into(x):
+            arrows[max(pos[x], pos[C.dom(h)])].append((x, h))
+        reps = (pos[C.dom(sieves.rep(c))] for c in range(len(sieves.keys)))
+        forced[max(pos[x], *reps)].append(x)
     found = []
-    assigned: dict = {}
-    axioms = _Axioms(C, assigned)
+    least: dict = {}
+    visited = 0
 
     def rec(i):
+        nonlocal visited
         if i == len(objs):
-            J = GrothendieckTopology(C, covers=dict(assigned))
-            if _is_topology(J):
-                found.append(J)
+            picked = dict(least)
+            found.append(GrothendieckTopology(C, basis=lambda x: (picked[x],), sieve_cap=sieve_cap))
             return
         x = objs[i]
-        for opt in options[x]:
-            assigned[x] = opt
-            if next(axioms.unstable(), None) is None:
+        for L in universes[x]:
+            visited += 1
+            if visited > candidate_cap:
+                raise ResourceError(
+                    f"topology enumeration exceeds the candidate cap {candidate_cap} while picking "
+                    f"the least cover at {x!r}, with {len(found)} topologies found so far",
+                    cap_name="candidates",
+                    cap_value=candidate_cap,
+                )
+            least[x] = L
+            if all(_restricts(C, least, y, h) == least[C.dom(h)]._ideal for y, h in arrows[i]) and all(
+                least[y]._ideal <= _forced(C, least, y) for y in forced[i]
+            ):
                 rec(i + 1)
-        del assigned[x]
+        del least[x]
 
     rec(0)
     found.sort(key=_canonical_key)

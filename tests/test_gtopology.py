@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import finsite
@@ -203,28 +204,6 @@ class TestEnumeration:
         found = enumerate_topologies(point_cat)
         assert len(found) == 2
 
-    def test_arrow_category_matches_unpruned_oracle(self, arrow_cat):
-        found = enumerate_topologies(arrow_cat)
-        assert len(found) == 4
-        # unpruned oracle: filter every assignment through check_axioms
-        oracle = []
-        per_object = []
-        for x in arrow_cat.objects:
-            tx = maximal_sieve(arrow_cat, x)
-            rest = [S for S in sieve_universe(arrow_cat, x) if S != tx]
-            opts = []
-            for r in range(len(rest) + 1):
-                for combo in itertools.combinations(rest, r):
-                    opts.append(frozenset({tx, *combo}))
-            per_object.append(opts)
-        for assignment in itertools.product(*per_object):
-            J = GrothendieckTopology(arrow_cat, covers=dict(zip(arrow_cat.objects, assignment)))
-            if check_axioms(J).ok:
-                oracle.append(J.covers_map())
-        assert sorted(map(sorted_map, oracle)) == sorted(
-            sorted_map(J.covers_map()) for J in found
-        )
-
     def test_trivial_and_discrete_always_enumerated(self, point_cat, arrow_cat):
         for C in (point_cat, arrow_cat):
             found = enumerate_topologies(C)
@@ -234,35 +213,6 @@ class TestEnumeration:
     def test_candidate_cap(self, d12):
         with pytest.raises(ResourceError):
             enumerate_topologies(d12, candidate_cap=10)
-
-    def test_parallel_pair_matches_unpruned_oracle(self):
-        # non-thin: two parallel arrows into the same object
-        C = FinCategory.from_data("pair", [1, 2], {"f": (1, 2), "g": (1, 2)})
-        assert len(sieve_universe(C, 2)) == 5
-        found = enumerate_topologies(C)
-        oracle = []
-        per_object = []
-        for x in C.objects:
-            tx = maximal_sieve(C, x)
-            rest = [S for S in sieve_universe(C, x) if S != tx]
-            per_object.append(
-                [
-                    frozenset({tx, *combo})
-                    for r in range(len(rest) + 1)
-                    for combo in itertools.combinations(rest, r)
-                ]
-            )
-        for assignment in itertools.product(*per_object):
-            J = GrothendieckTopology(C, covers=dict(zip(C.objects, assignment)))
-            if check_axioms(J).ok:
-                oracle.append(J)
-        assert len(found) == len(oracle)
-        for J in oracle:
-            assert any(J == K for K in found)
-
-
-def sorted_map(m):
-    return tuple(sorted((str(k), tuple(sorted(map(repr, v)))) for k, v in m.items()))
 
 
 def trivial_topology_as_table(C):
@@ -404,12 +354,15 @@ class TestAxiomEngine:
             containing = [J for J in tops if all(S in J.covers(x) for x, S in seed_pairs)]
             assert generate_topology(C, seed) == functools.reduce(meet, containing)
 
-    def test_enumeration_checks_its_cap_before_building_candidates(self):
+    def test_enumeration_on_d30_counts_its_picks_against_the_cap(self):
+        # 3 276 least-cover picks find the 2^8 topologies of D_30
+        with pytest.raises(ResourceError, match=r"candidate cap 3275 while picking the least cover at 30, with \d+ topologies found so far"):
+            enumerate_topologies(build_divisor_poset(30), candidate_cap=3275)
         d30 = build_divisor_poset(30)
         tracemalloc.start()
         try:
-            with pytest.raises(ResourceError, match=r"~17179869184 candidates exceeds the candidate cap 1000000"):
-                enumerate_topologies(d30)
+            assert len(enumerate_topologies(d30)) == 256
+            assert len(enumerate_topologies(build_divisor_poset(30), candidate_cap=3276)) == 256
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -458,6 +411,33 @@ def finset_families(draw):
     """Finite-set categories with an empty carrier and one or two more."""
     sizes = draw(st.lists(st.integers(1, 2), min_size=1, max_size=2))
     return build_finset_category({"e": (), **{f"c{i}": tuple(range(s)) for i, s in enumerate(sizes)}})
+
+
+class TestEnumerationAgainstOracle:
+    """Enumeration equals the brute-force search: every assignment of a set
+    of sieves from ``oracles.sieves_on`` to each object that holds its
+    maximal sieve, filtered by ``oracles.topology_ok``."""
+
+    @given(st.one_of(posets(), transformation_monoids(), finset_families()))
+    @example(FinCategory.from_data("arrow", [1, 2], {"f": (1, 2)}))
+    @example(FinCategory.from_data("pair", [1, 2], {"f": (1, 2), "g": (1, 2)}))  # not thin
+    @settings(max_examples=60, deadline=None)
+    def test_generated_categories(self, C):
+        universes = {x: oracles.sieves_on(C, x) for x in C.objects}
+        assume(math.prod(2 ** (len(u) - 1) for u in universes.values()) <= 2048)
+        options = []
+        for x in C.objects:
+            top = frozenset(C.arrows_into(x))
+            options.append([rest | {top} for rest in oracles.all_subsets(universes[x] - {top})])
+        expected = set()
+        for assignment in itertools.product(*options):
+            covers = dict(zip(C.objects, assignment))
+            if oracles.topology_ok(C, covers):
+                expected.add(frozenset((x, frozenset(cov)) for x, cov in covers.items()))
+        found = enumerate_topologies(C)
+        got = {frozenset((x, frozenset(S.members for S in J.covers(x))) for x in C.objects) for J in found}
+        assert len(found) == len(got)
+        assert got == expected
 
 
 BUILDER_ORACLES = {
@@ -721,6 +701,17 @@ class TestLeastCoverCounts:
             build_topology(C, "dense")
         assert pullbacks == []
 
+    def test_the_passes_list_every_arrow_before_the_first_pullback(self, pullbacks):
+        # the trivial covers at g3 are the maximal sieve alone, so the
+        # passes list them and then stop at arrows_into('g3'), before
+        # pulling back along the arrows into g2
+        g = (0, 1)
+        gg = tuple((a, b) for a in g for b in g)
+        C = build_finset_category({"unit": ((),), "g": g, "g2": gg, "g3": tuple((p, c) for p in gg for c in g)})
+        with pytest.raises(ResourceError, match=r"hom\('g3', 'g3'\) has 16777216 arrows, over the hom cap 100000"):
+            build_topology(C, "trivial")
+        assert pullbacks == []
+
     def test_joining_dense_and_atomic_on_d360(self, pullbacks, monkeypatch):
         C = build_divisor_poset(360)
         universes = []
@@ -795,14 +786,15 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 
 @pytest.mark.parametrize(
-    "verb, options, needle",
+    "verb, options, needle, golden",
     [
-        ("check-topology", {"category": "d12.cat", "topology": "broken12.gtop"}, "fail (10 violations)"),
-        ("enumerate-topologies", {"category": "cospan.cat"}, "topologies on cospan"),
+        ("check-topology", {"category": "d12.cat", "topology": "broken12.gtop"}, "fail (10 violations)", None),
+        ("enumerate-topologies", {"category": "cospan.cat"}, "topologies on cospan", None),
+        ("enumerate-topologies", {"category": "d12.cat"}, "64 topologies on D_12", "d12-enumerate.report"),
     ],
-    ids=["broken12", "cospan"],
+    ids=["broken12", "cospan", "d12-enumerate"],
 )
-def test_cli_reports_ignore_the_hash_seed(verb, options, needle):
+def test_cli_reports_ignore_the_hash_seed(verb, options, needle, golden):
     # sieves hash by their base and class indices, so a set of sieves
     # iterates in an order that follows the hash seed
     options = {k: str(FIXTURES / v) for k, v in options.items()}
@@ -813,3 +805,5 @@ def test_cli_reports_ignore_the_hash_seed(verb, options, needle):
     outs = outputs_under_two_hash_seeds(script)
     assert outs[0] == outs[1]
     assert needle in outs[0]
+    if golden:
+        assert outs[0] == "0\n" + (FIXTURES / golden).read_text()
