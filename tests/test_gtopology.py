@@ -8,7 +8,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import finsite
@@ -204,6 +204,9 @@ class TestEnumeration:
         found = enumerate_topologies(point_cat)
         assert len(found) == 2
 
+    def test_arrow_category_matches_unpruned_oracle(self, arrow_cat):
+        assert len(assert_enumeration_matches_brute_force(arrow_cat)) == 4
+
     def test_trivial_and_discrete_always_enumerated(self, point_cat, arrow_cat):
         for C in (point_cat, arrow_cat):
             found = enumerate_topologies(C)
@@ -213,6 +216,12 @@ class TestEnumeration:
     def test_candidate_cap(self, d12):
         with pytest.raises(ResourceError):
             enumerate_topologies(d12, candidate_cap=10)
+
+    def test_parallel_pair_matches_unpruned_oracle(self):
+        # not thin: two parallel arrows into the same object
+        C = FinCategory.from_data("pair", [1, 2], {"f": (1, 2), "g": (1, 2)})
+        assert len(sieve_universe(C, 2)) == 5
+        assert_enumeration_matches_brute_force(C)
 
 
 def trivial_topology_as_table(C):
@@ -419,25 +428,30 @@ class TestEnumerationAgainstOracle:
     maximal sieve, filtered by ``oracles.topology_ok``."""
 
     @given(st.one_of(posets(), transformation_monoids(), finset_families()))
-    @example(FinCategory.from_data("arrow", [1, 2], {"f": (1, 2)}))
-    @example(FinCategory.from_data("pair", [1, 2], {"f": (1, 2), "g": (1, 2)}))  # not thin
     @settings(max_examples=60, deadline=None)
     def test_generated_categories(self, C):
         universes = {x: oracles.sieves_on(C, x) for x in C.objects}
         assume(math.prod(2 ** (len(u) - 1) for u in universes.values()) <= 2048)
-        options = []
-        for x in C.objects:
-            top = frozenset(C.arrows_into(x))
-            options.append([rest | {top} for rest in oracles.all_subsets(universes[x] - {top})])
-        expected = set()
-        for assignment in itertools.product(*options):
-            covers = dict(zip(C.objects, assignment))
-            if oracles.topology_ok(C, covers):
-                expected.add(frozenset((x, frozenset(cov)) for x, cov in covers.items()))
-        found = enumerate_topologies(C)
-        got = {frozenset((x, frozenset(S.members for S in J.covers(x))) for x in C.objects) for J in found}
-        assert len(found) == len(got)
-        assert got == expected
+        assert_enumeration_matches_brute_force(C)
+
+
+def assert_enumeration_matches_brute_force(C):
+    """``enumerate_topologies(C)`` lists each topology that the brute-force
+    search over ``oracles.sieves_on`` and ``oracles.topology_ok`` finds, once."""
+    options = []
+    for x in C.objects:
+        top = frozenset(C.arrows_into(x))
+        options.append([rest | {top} for rest in oracles.all_subsets(oracles.sieves_on(C, x) - {top})])
+    expected = set()
+    for assignment in itertools.product(*options):
+        covers = dict(zip(C.objects, assignment))
+        if oracles.topology_ok(C, covers):
+            expected.add(frozenset((x, frozenset(cov)) for x, cov in covers.items()))
+    found = enumerate_topologies(C)
+    got = {frozenset((x, frozenset(S.members for S in J.covers(x))) for x in C.objects) for J in found}
+    assert len(found) == len(got)
+    assert got == expected
+    return found
 
 
 BUILDER_ORACLES = {
