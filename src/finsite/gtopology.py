@@ -17,7 +17,9 @@ and Moerdijk, *Sheaves in Geometry and Logic*, III.2).  So a topology is
 verified, and generated, one least cover per object, with one pullback
 per arrow and no sieve universe; only a failing verdict runs the
 stability and transitivity passes over every cover, to report each
-violation.
+violation.  A sieve's classes are the int mask kept by
+``finsite.sieves`` (bit i = class i), so the conditions below are
+``&``, ``|`` and ``a & ~b == 0`` on masks.
 """
 
 from __future__ import annotations
@@ -34,8 +36,9 @@ from .errors import (
 )
 from .sieves import (
     Sieve,
+    _bits,
     _not_on,
-    _pullback,
+    _pullbacks,
     _sieves_on,
     maximal_sieve,
     pullback_sieve,
@@ -51,7 +54,7 @@ def sieve_universe(C, x, cap: int = DEFAULT_SIEVE_CAP):
     """All sieves on x, as a sorted tuple."""
     sieves = _sieves_on(C, x)
     if sieves.universe is None:
-        sieves.universe = tuple(sorted_sieves(C, sieves.above((sieves.sieve(frozenset()),), cap)))
+        sieves.universe = tuple(sorted_sieves(C, sieves.above((sieves.sieve(0),), cap)))
     if len(sieves.universe) > cap:
         raise ResourceError(
             f"object {x!r} has {len(sieves.universe)} sieves, over the sieve cap {cap}",
@@ -168,8 +171,8 @@ def _one_class_up(sieves, S):
     """The sieves that hold the classes of S and one class more."""
     ideal = S._ideal
     for i, b in enumerate(sieves.below):
-        if i not in ideal and b <= ideal:
-            yield sieves.sieve(ideal | {i})
+        if not ideal >> i & 1 and not b & ~ideal:
+            yield sieves.sieve(ideal | 1 << i)
 
 
 # -- least covers ------------------------------------------------------
@@ -191,7 +194,10 @@ def _least_covers(J):
         sieves, stored = _sieves_on(C, x), J._stored(x)
         if not stored or any(_not_on(C, x, S) for S in stored):
             return None
-        L = sieves.sieve(frozenset.intersection(*(S._ideal for S in stored)))
+        ideal = -1  # every class
+        for S in stored:
+            ideal &= S._ideal
+        L = sieves.sieve(ideal)
         if L not in stored:
             return None
         if J._minimal_covers is None and not all(R in stored for S in stored for R in _one_class_up(sieves, S)):
@@ -200,14 +206,15 @@ def _least_covers(J):
     return least
 
 
-def _restricts(C, least, x, h) -> frozenset:
-    """The classes of L(d) that lie in the pullback of L(x) along the
-    arrow h: d -> x; all of L(d) when the up-sets are stable along h."""
+def _restricts(C, least, x, h) -> int:
+    """The mask of the classes of L(d) that lie in the pullback of L(x)
+    along the arrow h: d -> x; all of L(d) when the up-sets are stable
+    along h."""
     return least[C.dom(h)]._ideal & pullback_sieve(C, h, least[x])._ideal
 
 
-def _forced(C, least, x) -> frozenset:
-    """The classes of the sieve M(x) generated by rep(c).rep(c') for every
+def _forced(C, least, x) -> int:
+    """The mask of the sieve M(x) generated by rep(c).rep(c') for every
     class c of L(x) and c' of L(dom rep(c)).
 
     These classes are already a down-set: an arrow below rep(c).rep(c')
@@ -216,16 +223,17 @@ def _forced(C, least, x) -> frozenset:
     are stable, M(x) is the least sieve forced by L(x): h.g lies in it for
     every h in L(x) and g in L(dom h), since stability carries g to a
     class of L(dom rep(c)) when h factors through rep(c).  M only grows
-    with ``least``.
+    with ``least``; and M(x) lies in L(x), which is a down-set.
     """
     sieves = _sieves_on(C, x)
-    out = set()
-    for c in least[x]._ideal:
+    out = 0
+    for c in _bits(least[x]._ideal):
         r = sieves.rep(c)
         d = C.dom(r)
         at_d = _sieves_on(C, d)
-        out.update(sieves.class_of(C.compose(r, at_d.rep(c2))) for c2 in least[d]._ideal)
-    return frozenset(out)
+        for c2 in _bits(least[d]._ideal):
+            out |= 1 << sieves.class_of(C.compose(r, at_d.rep(c2)))
+    return out
 
 
 def _is_topology(J) -> bool:
@@ -243,7 +251,7 @@ def _is_topology(J) -> bool:
     return (
         least is not None
         and all(_restricts(C, least, x, h) == least[C.dom(h)]._ideal for x in C.objects for h in into[x])
-        and all(least[x]._ideal <= _forced(C, least, x) for x in C.objects)
+        and not any(least[x]._ideal & ~_forced(C, least, x) for x in C.objects)
     )
 
 
@@ -304,12 +312,12 @@ def check_axioms(J: GrothendieckTopology, sieve_cap: int = DEFAULT_SIEVE_CAP) ->
         if malformed:  # the other passes see only the sieves on x
             covers[x] = covers[x].difference(malformed)
     into = {x: C.arrows_into(x) for x in objs}  # a hom cap is hit before any pullback
+    held = {x: {S._ideal for S in covers[x]} for x in objs}  # the covers' masks
     for x in objs:
         for S in sorted_sieves(C, covers[x]):
-            for h in into[x]:
-                P = _pullback(C, h, S)
-                if P not in covers[C.dom(h)]:
-                    detail = f"pullback {sieve_literal(C, P)} is not a cover at {C.dom(h)!r}"
+            for h, (d, pulled) in zip(into[x], _pullbacks(C, S, into[x])):
+                if pulled not in held[d]:
+                    detail = f"pullback {sieve_literal(C, _sieves_on(C, d).sieve(pulled))} is not a cover at {d!r}"
                     violations.append(AxiomViolation("stability", x, S, h, detail))
     for x in objs:
         cov = sorted_sieves(C, covers[x])
@@ -317,7 +325,7 @@ def check_axioms(J: GrothendieckTopology, sieve_cap: int = DEFAULT_SIEVE_CAP) ->
             if R in covers[x]:
                 continue
             for S in cov:  # the first cover along whose members R pulls back to covers
-                if all(_pullback(C, h, R) in covers[C.dom(h)] for h in S.members):
+                if all(pulled in held[d] for d, pulled in _pullbacks(C, R, S.members)):
                     detail = f"forced by cover {sieve_literal(C, S)} but not a cover"
                     violations.append(AxiomViolation("transitivity", x, R, None, detail))
                     break
@@ -338,7 +346,7 @@ def is_dense_sieve(C, S: Sieve) -> bool:
     why = _not_on(C, S.base, S)
     if why:
         raise StructuralError(f"density in {C.name!r} cannot be tested on a {why}")
-    return S._space.minimal <= S._ideal
+    return not S._space.minimal & ~S._ideal
 
 
 def trivial_topology(C, sieve_cap: int = DEFAULT_SIEVE_CAP) -> GrothendieckTopology:
@@ -350,7 +358,7 @@ def discrete_topology(C, sieve_cap: int = DEFAULT_SIEVE_CAP) -> GrothendieckTopo
     """Every sieve covers."""
 
     def basis(x):
-        return (_sieves_on(C, x).sieve(frozenset()),)
+        return (_sieves_on(C, x).sieve(0),)
 
     return GrothendieckTopology(C, "discrete", basis=basis, sieve_cap=sieve_cap)
 
@@ -380,7 +388,7 @@ def atomic_topology(C, sieve_cap: int = DEFAULT_SIEVE_CAP) -> GrothendieckTopolo
 
     def basis(x):
         sieves = _sieves_on(C, x)
-        return tuple(sieves.sieve(frozenset({i})) for i in sieves.minimal)
+        return tuple(sieves.sieve(1 << i) for i in _bits(sieves.minimal))
 
     return GrothendieckTopology(C, "atomic", basis=basis, sieve_cap=sieve_cap)
 
@@ -459,8 +467,8 @@ def enumerate_topologies(
                     cap_value=candidate_cap,
                 )
             least[x] = L
-            if all(_restricts(C, least, y, h) == least[C.dom(h)]._ideal for y, h in arrows[i]) and all(
-                least[y]._ideal <= _forced(C, least, y) for y in forced[i]
+            if all(_restricts(C, least, y, h) == least[C.dom(h)]._ideal for y, h in arrows[i]) and not any(
+                least[y]._ideal & ~_forced(C, least, y) for y in forced[i]
             ):
                 rec(i + 1)
         del least[x]
@@ -524,7 +532,7 @@ def generate_topology(C, seed: Mapping, sieve_cap: int = DEFAULT_SIEVE_CAP) -> G
                     pending[d] = None
         for x in C.objects:
             M = _forced(C, least, x)
-            if not least[x]._ideal <= M:
+            if least[x]._ideal & ~M:
                 least[x] = _sieves_on(C, x).sieve(least[x]._ideal & M)
                 pending[x] = None
     return GrothendieckTopology(C, name="generated", basis=lambda x: (least[x],), sieve_cap=sieve_cap)

@@ -39,9 +39,10 @@ from .algebra import GroupObjectWitness, group_witness, monoid_witness
 from .errors import DEFAULT_SIEVE_CAP, FinsiteError
 from .fincat import FinCategory, ProductCone
 from .gtopology import GrothendieckTopology, check_axioms
-from .sieves import maximal_sieve, sieve_closure
+from .sieves import _sieve_of_labels, maximal_sieve, sieve_closure
 
 _ID = re.compile(r"^[\w()|.*+\-]+$")
+_COVER = re.compile(r"^\s*cover\s+(\S+)\s*:\s*\{(.*)\}\s*$")
 
 
 @dataclass(frozen=True)
@@ -219,7 +220,9 @@ def parse_topology_file(
     """Parse a topology candidate over an already-parsed category.
 
     Returns ``(topology, report)`` where ``report`` is the axiom verdict
-    (None when ``verify`` is off).
+    (None when ``verify`` is off).  A cover line is read by
+    ``_sieve_of_labels``; only a line it cannot read is walked token by
+    token, to word its diagnostics.
     """
     r = _Reader(text, filename)
     if not r.lines:
@@ -234,10 +237,10 @@ def parse_topology_file(
     if head[3] != C.name:
         r.error("wrong-category", f"topology is declared on {head[3]!r} but the category is {C.name!r}", lineno, line, head[3])
     obj_by_str = {str(x): x for x in C.objects}
-    arr_by_str = {str(a): a for a in C.all_arrows()}
+    arr_by_str = None
     covers: dict = {x: {maximal_sieve(C, x)} for x in C.objects}
     for lineno, line in r.lines[1:]:
-        m = re.match(r"^\s*cover\s+(\S+)\s*:\s*\{(.*)\}\s*$", line)
+        m = _COVER.match(line)
         if not m:
             r.error("syntax", "expected 'cover <object> : {<arrows>}'", lineno, line)
             continue
@@ -246,9 +249,16 @@ def parse_topology_file(
             r.error("unknown-object", f"unknown object {obj_tok!r}", lineno, line, obj_tok)
             continue
         x = obj_by_str[obj_tok]
+        toks = [t for t in map(str.strip, body.split(",")) if t]
+        S = _sieve_of_labels(C, x, toks)
+        if S is not None:
+            covers[x].add(S)
+            continue
+        if arr_by_str is None:
+            arr_by_str = {str(a): a for a in C.all_arrows()}
         gens = []
         bad = False
-        for tok in filter(None, (t.strip() for t in body.split(","))):
+        for tok in toks:
             if tok not in arr_by_str:
                 r.error("unknown-arrow", f"unknown arrow {tok!r}", lineno, line, tok)
                 bad = True

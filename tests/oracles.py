@@ -120,6 +120,24 @@ def topology_ok(C, covers) -> bool:
     return True
 
 
+def associativity(objects, arrows, obj, arr):
+    """``(True, None)`` when the binary maps ``obj`` and ``arr`` (on pairs)
+    are associative, else ``(False, (a, b, c))`` for the first failing
+    triple of objects, then of arrows, with the first factor outermost;
+    by the triple loop."""
+    for a in objects:
+        for b in objects:
+            for c in objects:
+                if obj((obj((a, b)), c)) != obj((a, obj((b, c)))):
+                    return False, (a, b, c)
+    for u in arrows:
+        for v in arrows:
+            for w in arrows:
+                if arr((arr((u, v)), w)) != arr((u, arr((v, w)))):
+                    return False, (u, v, w)
+    return True, None
+
+
 def up_set(C, x, least) -> set[frozenset]:
     """The sieves on x that contain ``least``."""
     return {S for S in sieves_on(C, x) if least <= S}

@@ -2,11 +2,15 @@ import hashlib
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finsite.algebra import HomWitness, check_homomorphism, find_algebraic_objects, group_witness, monoid_witness
 from finsite.continuity import LocalTopology, is_continuous, localize
 from finsite.errors import StructuralError
 from finsite.fincat import (
+    FinCategory,
+    Functor,
     binary_product,
     build_divisor_poset,
     build_finset_category,
@@ -15,6 +19,7 @@ from finsite.fincat import (
     divisor_inclusion_functor,
 )
 from finsite.gtopgroup import (
+    _functor_associative,
     is_gtop_algebraic_object,
     is_gtop_functor_monoid,
     product_local_topology,
@@ -26,6 +31,8 @@ from finsite.gtopology import (
     trivial_topology,
 )
 from finsite.sieves import maximal_sieve, sieve_literal, sorted_sieves
+
+import oracles
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -147,6 +154,37 @@ class TestFunctorLevel:
         P, F = lcm_setup
         report = is_gtop_functor_monoid(F, 2, trivial_topology(P), trivial_topology(d12))
         assert not report.unital and not report.ok
+
+
+@st.composite
+def binary_tables(draw):
+    """A one-object table category with n arrows and a binary map on them,
+    as a list t with mul(arrows[i], arrows[j]) = arrows[t[i * n + j]]:
+    either any table, or one of a few associative ones."""
+    n = draw(st.integers(1, 5))
+    C = FinCategory.from_data("one", ["*"], {f"a{i}": ("*", "*") for i in range(1, n)})
+    order = draw(st.permutations(range(n)))
+    kind = draw(st.sampled_from(["any", "left", "right", "constant", "max"]))
+    if kind == "any":
+        table = draw(st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n))
+    elif kind == "constant":
+        table = [draw(st.integers(0, n - 1))] * (n * n)
+    else:
+        pick = {"left": lambda i, j: i, "right": lambda i, j: j, "max": lambda i, j: max(i, j, key=order.index)}[kind]
+        table = [pick(i, j) for i in range(n) for j in range(n)]
+    return C, table
+
+
+class TestAssociativityAgainstOracle:
+    @given(binary_tables())
+    @settings(max_examples=200, deadline=None)
+    def test_verdict_and_first_witness_match_the_triple_loop(self, drawn):
+        C, table = drawn
+        arrows = C.all_arrows()
+        n = len(arrows)
+        arr_map = {(u, v): arrows[table[i * n + j]] for i, u in enumerate(arrows) for j, v in enumerate(arrows)}
+        mul = Functor("mul", C, C, {("*", "*"): "*"}, arr_map)
+        assert _functor_associative(mul, C) == oracles.associativity(C.objects, arrows, mul.obj, mul.arr)
 
 
 class TestSubcategoryClosure:

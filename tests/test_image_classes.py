@@ -152,7 +152,7 @@ class TestGroupObjectsWithoutHomSets:
         space = _sieves_on(C, "g2")
         assert len(space.keys) == 65535
         (dense,) = dense_topology(C).basis("g2")
-        pairs = space.sieve(frozenset(i for i, A in enumerate(space.keys) if len(A) <= 2))
+        pairs = space.sieve(sum(1 << i for i, A in enumerate(space.keys) if len(A) <= 2))  # bit i = class i
         top = maximal_sieve(C, "g2")
         tracemalloc.start()
         try:

@@ -5,6 +5,7 @@ import pytest
 from finsite.algebra import GroupObjectWitness, check_group_object
 from finsite.fincat import validate_category
 from finsite.gtopology import dense_topology
+from finsite.sieves import sieve_closure
 from finsite.parsing import (
     ParseFailure,
     parse_category_file,
@@ -104,6 +105,7 @@ class TestTopologyParsing:
         )
         covered = {frozenset(d12s.dom(a) for a in S.members) for S in J.covers("12")}
         assert frozenset({"1", "2", "4"}) in covered
+        assert sieve_closure(d12s, "12", ["4|12"]) in J.covers("12")  # the literal lists a generator only
         assert report is not None and not report.ok  # stability fails at 6
 
     def test_empty_cover_list_is_trivial(self, d12s):
@@ -117,6 +119,26 @@ class TestTopologyParsing:
             parse_topology_file("topology t on D_12\ncover 12 : {2|6}\n", d12s, "t.gtop")
         (d,) = e.value.diagnostics
         assert d.code == "wrong-codomain" and d.span.line == 2
+        # a good arrow, an unknown one and one into another object, on one line
+        text = "topology t on D_12\ncover 12 : {4|12}\ncover 12 : {4|12, 5|12, 2|6}\n"
+        with pytest.raises(ParseFailure) as e:
+            parse_topology_file(text, d12s, "t.gtop")
+        unknown, wrong = e.value.diagnostics
+        assert (unknown.code, unknown.message) == ("unknown-arrow", "unknown arrow '5|12'")
+        assert (unknown.span.line, unknown.span.col_start, unknown.span.col_end) == (3, 19, 22)
+        assert (wrong.code, wrong.message) == ("wrong-codomain", "arrow '2|6' lands in '6', not in '12'")
+        assert (wrong.span.line, wrong.span.col_start, wrong.span.col_end) == (3, 25, 27)
+
+    def test_a_label_shared_by_two_arrows_names_the_later_one_in_all_arrows(self):
+        from finsite.fincat import FinCategory
+
+        C = FinCategory.from_data("alike", "abc", {1: ("a", "b"), "1": ("b", "c"), "h": ("a", "c")}, {("1", 1): "h"})
+        J, _ = parse_topology_file("topology t on alike\ncover c : {1}\n", C, verify=False)
+        assert sieve_closure(C, "c", ["1"]) in J.covers("c")
+        with pytest.raises(ParseFailure) as e:
+            parse_topology_file("topology t on alike\ncover b : {1}\n", C)
+        (d,) = e.value.diagnostics
+        assert (d.code, d.message) == ("wrong-codomain", "arrow '1' lands in 'c', not in 'b'")
 
     def test_wrong_category_name(self, d12s):
         with pytest.raises(ParseFailure) as e:
