@@ -48,31 +48,16 @@ from .gtopology import (
 )
 from .parsing import (
     ParseFailure,
+    label_index,
     parse_category_file,
+    parse_sieve_literal,
     parse_topology_file,
     parse_witness_file,
     serialize_category,
     serialize_topology,
     serialize_witness,
 )
-from .sieves import sieve_closure, sieve_literal, sorted_sieves
-
-VERBS = (
-    "validate",
-    "make-category",
-    "make-topology",
-    "check-topology",
-    "pullback",
-    "check-continuous",
-    "initial-topology",
-    "enumerate-topologies",
-    "meet",
-    "join",
-    "find-objects",
-    "check-object",
-    "check-hom",
-    "check-gtop",
-)
+from .sieves import pullback_sieve, sieve_literal, sorted_sieves
 
 
 @dataclass(frozen=True)
@@ -119,11 +104,20 @@ def _load_topology(opts, C, caps, key="topology", verify=False):
     return J, report
 
 
-def _find_arrow(C, token):
-    for a in C.all_arrows():
-        if str(a) == token:
-            return a
-    raise StructuralError(f"unknown arrow {token!r}")
+def _named(labels, label, what):
+    """The object or arrow that a flag names, from a map of ``label_index``."""
+    found = labels.get(label)
+    if found is None:
+        raise StructuralError(f"unknown {what} {label!r}")
+    return found
+
+
+def _refuse(opts, why, *keys):
+    """Refuse a flag the verb would ignore; ``why`` names the flag that
+    makes it ignored."""
+    for key in keys:
+        if opts.get(key) is not None:
+            raise StructuralError(f"--{key.replace('_', '-')} {why}")
 
 
 def _emit(opts, text):
@@ -155,9 +149,10 @@ def _cmd_validate(opts, caps):
 
 
 def _cmd_make_category(opts, caps):
-    if opts.get("divisor"):
+    if opts.get("divisor") is not None:
+        _refuse(opts, "cannot be combined with --divisor", "product")
         C = build_divisor_poset(opts["divisor"])
-    elif opts.get("product"):
+    elif opts.get("product") is not None:
         a_path, b_path = opts["product"]
         A = parse_category_file(Path(a_path).read_text(), a_path)
         B = parse_category_file(Path(b_path).read_text(), b_path)
@@ -190,15 +185,10 @@ def _cmd_check_topology(opts, caps):
 
 def _cmd_pullback(opts, caps):
     C = _load_category(opts)
-    h = _find_arrow(C, opts["arrow"])
-    if opts.get("sieve"):
-        body = opts["sieve"].strip()
-        if not (body.startswith("{") and body.endswith("}")):
-            raise StructuralError("sieve literal must be brace-delimited")
-        gens = [_find_arrow(C, t.strip()) for t in body[1:-1].split(",") if t.strip()]
-        S = sieve_closure(C, C.cod(h), gens)
-        from .sieves import pullback_sieve
-
+    h = _named(label_index(C).arrows, opts["arrow"], "arrow")
+    if opts.get("sieve") is not None:
+        _refuse(opts, "cannot be combined with --sieve", "topology")
+        S = parse_sieve_literal(opts["sieve"], C, C.cod(h), "--sieve")
         P = pullback_sieve(C, h, S)
         return 0, [f"pullback of {sieve_literal(C, S)} along {C.arrow_label(h)}:", f"  {sieve_literal(C, P)}"]
     if "topology" not in opts:
@@ -212,7 +202,7 @@ def _cmd_pullback(opts, caps):
 def _cmd_check_continuous(opts, caps):
     C = _load_category(opts)
     J, _ = _load_topology(opts, C, caps)
-    f = _find_arrow(C, opts["arrow"])
+    f = _named(label_index(C).arrows, opts["arrow"], "arrow")
     verdict = is_continuous(C, f, J)
     if verdict.ok:
         return 0, [f"{C.arrow_label(f)} is continuous under {J.name}"]
@@ -225,12 +215,11 @@ def _cmd_check_continuous(opts, caps):
 def _cmd_initial_topology(opts, caps):
     C = _load_category(opts)
     J, _ = _load_topology(opts, C, caps)
-    x = next((o for o in C.objects if str(o) == opts["object"]), None)
-    if x is None:
-        raise StructuralError(f"unknown object {opts['object']!r}")
+    labels = label_index(C)
+    x = _named(labels.objects, opts["object"], "object")
     family = []
     for tok in filter(None, (t.strip() for t in opts.get("arrows", "").split(","))):
-        f = _find_arrow(C, tok)
+        f = _named(labels.arrows, tok, "arrow")
         family.append((f, localize(J, C.cod(f))))
     L = initial_local_topology(C, x, family, sieve_cap=caps["sieves"])
     return 0, _local_lines(C, L, "initial topology")
@@ -291,7 +280,7 @@ def _cmd_check_hom(opts, caps):
     C = _load_category(opts)
     w1 = parse_witness_file(Path(opts["source"]).read_text(), C, opts["source"])
     w2 = parse_witness_file(Path(opts["target"]).read_text(), C, opts["target"])
-    f = _find_arrow(C, opts["arrow"])
+    f = _named(label_index(C).arrows, opts["arrow"], "arrow")
     verdict = check_homomorphism(C, HomWitness(w1, w2, f))
     if verdict.ok:
         return 0, [f"{C.arrow_label(f)} is a homomorphism of witnesses"]
@@ -302,12 +291,11 @@ def _cmd_check_gtop(opts, caps):
     C = _load_category(opts)
     J, _ = _load_topology(opts, C, caps)
     if opts.get("functor_level"):
+        _refuse(opts, "cannot be combined with --functor-level", "witness")
         unit_tok = opts.get("unit")
         if unit_tok is None:
             raise StructuralError("--functor-level needs --unit")
-        unit = next((o for o in C.objects if str(o) == unit_tok), None)
-        if unit is None:
-            raise StructuralError(f"unknown unit object {unit_tok!r}")
+        unit = _named(label_index(C).objects, unit_tok, "unit object")
         gap = unclosed_cover(J)
         if gap is not None:
             x, S, R = gap
@@ -329,6 +317,7 @@ def _cmd_check_gtop(opts, caps):
             v = report.cover_preserving
             lines.append(f"  witness: object {v.obj}, cover {sieve_literal(P, v.witness)}")
         return (0 if report.ok else 1), lines
+    _refuse(opts, "needs --functor-level", "unit", "product_topology")
     if "witness" not in opts:
         raise StructuralError("morphism-level check-gtop needs --witness")
     w = parse_witness_file(Path(opts["witness"]).read_text(), C, opts["witness"])
@@ -362,6 +351,7 @@ _HANDLERS = {
     "check-hom": _cmd_check_hom,
     "check-gtop": _cmd_check_gtop,
 }
+VERBS = tuple(_HANDLERS)
 
 
 def run_command(req: CommandRequest):

@@ -58,6 +58,7 @@ class FinCategory:
         self._identity = dict(identity)
         self._table = dict(table)
         self._sieve_cache: dict = {}
+        self._labels = None  # finsite.parsing.label_index, built when text is read
         self._check_structure()
         self._by_label = tuple(sorted(self._arrows, key=str))
         hom: dict = {}
@@ -232,6 +233,7 @@ class FinSetCategory:
         self._hom_cache: dict = {}
         self._into_cache: dict = {}
         self._sieve_cache: dict = {}
+        self._labels = None  # finsite.parsing.label_index, built when text is read
 
     def has_object(self, x) -> bool:
         return x in self._carriers
@@ -342,10 +344,6 @@ class FinSetCategory:
         a = self._check_arrow(a)
         body = ",".join(map(repr, a.images))
         return f"{a.dom}->{a.cod}[{body}]"
-
-    def factoring_key(self, a) -> frozenset:
-        """The image of a: a factors through b iff key(a) <= key(b)."""
-        return frozenset(self._check_arrow(a).images)
 
 
 def build_finset_category(carriers, name="finset", hom_cap: int = DEFAULT_HOM_CAP) -> FinSetCategory:
@@ -696,7 +694,8 @@ def build_divisor_poset(N: int) -> FinCategory:
     """
     if not isinstance(N, int) or N < 1:
         raise DomainError(f"divisor poset needs a positive integer, got {N!r}")
-    divs = [k for k in range(1, N + 1) if N % k == 0]
+    small = [k for k in range(1, math.isqrt(N) + 1) if N % k == 0]
+    divs = small + [N // k for k in reversed(small) if k * k != N]
     arrows = {}
     for n in divs:
         for k in divs:

@@ -32,6 +32,7 @@ Witness files are a single declaration::
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -39,10 +40,11 @@ from .algebra import GroupObjectWitness, group_witness, monoid_witness
 from .errors import DEFAULT_SIEVE_CAP, FinsiteError
 from .fincat import FinCategory, ProductCone
 from .gtopology import GrothendieckTopology, check_axioms
-from .sieves import _sieve_of_labels, maximal_sieve, sieve_closure
+from .sieves import Sieve, _sieves_on, maximal_sieve
 
 _ID = re.compile(r"^[\w()|.*+\-]+$")
 _COVER = re.compile(r"^\s*cover\s+(\S+)\s*:\s*\{(.*)\}\s*$")
+_LITERAL = re.compile(r"^\s*\{(.*)\}\s*$")
 
 
 @dataclass(frozen=True)
@@ -99,6 +101,78 @@ class _Reader:
 
 def _valid_id(tok: str) -> bool:
     return bool(_ID.match(tok))
+
+
+# -- labels --------------------------------------------------------------
+
+
+class LabelIndex:
+    """What each label (``str``) names in a category C: the only place text
+    is resolved against C.
+
+    ``objects`` and ``arrows`` map a label to the object or arrow it
+    names; a label that two arrows share names the later one in
+    ``C.all_arrows()``.  ``masks(x)`` maps each label that names an arrow
+    into x to the down-set mask of that arrow's factoring class (see
+    ``finsite.sieves``), so the sieve a literal generates is the OR of its
+    labels' masks.
+    """
+
+    def __init__(self, C):
+        self.C = C
+        self.objects = {str(x): x for x in C.objects}
+        self.arrows = {str(a): a for a in C.all_arrows()}
+        self._masks: dict = {}
+
+    def masks(self, x) -> dict:
+        if x not in self._masks:
+            space, arrows = _sieves_on(self.C, x), self.arrows
+            down, class_of = space.down, space.class_of
+            self._masks[x] = {t: down[class_of(a)] for a in self.C.arrows_into(x) if arrows[t := str(a)] == a}
+        return self._masks[x]
+
+
+def label_index(C) -> LabelIndex:
+    """The label index of C, built the first time text is read against C."""
+    if C._labels is None:
+        C._labels = LabelIndex(C)
+    return C._labels
+
+
+def _read_sieve(r, lineno, line, labels, x, body):
+    """The sieve on x generated by the arrows that ``body``, the inside of
+    a sieve literal on ``line``, names, as ``sieve_closure`` gives it: one
+    dict lookup and one OR per label.  None, with a diagnostic for each
+    label that names no arrow into x, when there is such a label."""
+    toks = [t for t in map(str.strip, body.split(",")) if t]
+    masks, ideal = labels.masks(x), 0
+    for t in toks:
+        mask = masks.get(t)
+        if mask is None:
+            break
+        ideal |= mask
+    else:
+        return _sieves_on(labels.C, x).sieve(ideal)
+    for t in itertools.filterfalse(masks.__contains__, toks):
+        a = labels.arrows.get(t)
+        if a is None:
+            r.error("unknown-arrow", f"unknown arrow {t!r}", lineno, line, t)
+        else:
+            r.error("wrong-codomain", f"arrow {t!r} lands in {labels.C.cod(a)!r}, not in {str(x)!r}", lineno, line, t)
+    return None
+
+
+def parse_sieve_literal(text: str, C, x, filename: str = "<string>") -> Sieve:
+    """The sieve on x that a literal ``{<arrow>, ...}`` names, read as a
+    topology file's cover line is."""
+    r = _Reader(text, filename)
+    m = _LITERAL.match(text)
+    if m is None:
+        r.error("syntax", "sieve literal must be brace-delimited", 1, text)
+        r.fail_if_errors()
+    S = _read_sieve(r, 1, text, label_index(C), x, m.group(1))
+    r.fail_if_errors()
+    return S
 
 
 # -- categories ---------------------------------------------------------
@@ -179,7 +253,12 @@ def parse_category_file(text: str, filename: str = "<string>") -> FinCategory:
         if (hd, hc) != (fd, gc):
             r.error("ill-typed-compose", f"composite {h!r} must run {fd!r} -> {gc!r}", lineno, line, h)
             continue
-        table[(g, f)] = h
+        if g not in arrows or f not in arrows:  # a unit law fixes the composite
+            known = f if g not in arrows else g
+        else:  # the first line given for the pair does
+            known = table.setdefault((g, f), h)
+        if h != known:
+            r.error("conflicting-compose", f"{g} . {f} is {known!r}, not {h!r}", lineno, line, h)
     r.fail_if_errors()
     try:
         return FinCategory.from_data(name, objects, arrows, table)
@@ -220,9 +299,7 @@ def parse_topology_file(
     """Parse a topology candidate over an already-parsed category.
 
     Returns ``(topology, report)`` where ``report`` is the axiom verdict
-    (None when ``verify`` is off).  A cover line is read by
-    ``_sieve_of_labels``; only a line it cannot read is walked token by
-    token, to word its diagnostics.
+    (None when ``verify`` is off).
     """
     r = _Reader(text, filename)
     if not r.lines:
@@ -236,8 +313,7 @@ def parse_topology_file(
     name = head[1]
     if head[3] != C.name:
         r.error("wrong-category", f"topology is declared on {head[3]!r} but the category is {C.name!r}", lineno, line, head[3])
-    obj_by_str = {str(x): x for x in C.objects}
-    arr_by_str = None
+    labels = label_index(C)
     covers: dict = {x: {maximal_sieve(C, x)} for x in C.objects}
     for lineno, line in r.lines[1:]:
         m = _COVER.match(line)
@@ -245,38 +321,13 @@ def parse_topology_file(
             r.error("syntax", "expected 'cover <object> : {<arrows>}'", lineno, line)
             continue
         obj_tok, body = m.group(1), m.group(2)
-        if obj_tok not in obj_by_str:
+        x = labels.objects.get(obj_tok)
+        if x is None:
             r.error("unknown-object", f"unknown object {obj_tok!r}", lineno, line, obj_tok)
             continue
-        x = obj_by_str[obj_tok]
-        toks = [t for t in map(str.strip, body.split(",")) if t]
-        S = _sieve_of_labels(C, x, toks)
+        S = _read_sieve(r, lineno, line, labels, x, body)
         if S is not None:
             covers[x].add(S)
-            continue
-        if arr_by_str is None:
-            arr_by_str = {str(a): a for a in C.all_arrows()}
-        gens = []
-        bad = False
-        for tok in toks:
-            if tok not in arr_by_str:
-                r.error("unknown-arrow", f"unknown arrow {tok!r}", lineno, line, tok)
-                bad = True
-                continue
-            a = arr_by_str[tok]
-            if C.cod(a) != x:
-                r.error(
-                    "wrong-codomain",
-                    f"arrow {tok!r} lands in {C.cod(a)!r}, not in {obj_tok!r}",
-                    lineno,
-                    line,
-                    tok,
-                )
-                bad = True
-                continue
-            gens.append(a)
-        if not bad:
-            covers[x].add(sieve_closure(C, x, gens))
     r.fail_if_errors()
     J = GrothendieckTopology(C, name=name, covers=covers)
     report = check_axioms(J, sieve_cap) if verify else None
@@ -302,24 +353,19 @@ def serialize_topology(J: GrothendieckTopology) -> str:
 # -- witnesses -----------------------------------------------------------
 
 
-def _parse_cone(tok, G, C, r, lineno, line):
+def _parse_cone(tok, labels, r, lineno, line):
     parts = tok.split(":")
     if len(parts) != 3:
         r.error("syntax", f"cone spec {tok!r} must be <apex>:<p1>:<p2>", lineno, line, tok)
         return None
-    obj_by_str = {str(x): x for x in C.objects}
-    arr_by_str = {str(a): a for a in C.all_arrows()}
-    if parts[0] not in obj_by_str:
+    if parts[0] not in labels.objects:
         r.error("unknown-object", f"unknown apex {parts[0]!r}", lineno, line, parts[0])
         return None
-    apex = obj_by_str[parts[0]]
-    proj = []
     for p in parts[1:]:
-        if p not in arr_by_str:
+        if p not in labels.arrows:
             r.error("unknown-arrow", f"unknown projection {p!r}", lineno, line, p)
             return None
-        proj.append(arr_by_str[p])
-    return apex, proj[0], proj[1]
+    return labels.objects[parts[0]], labels.arrows[parts[1]], labels.arrows[parts[2]]
 
 
 def parse_witness_file(text: str, C, filename: str = "<string>"):
@@ -334,12 +380,11 @@ def parse_witness_file(text: str, C, filename: str = "<string>"):
     if kind not in ("monoid", "group") or len(toks) < 2:
         r.error("syntax", "expected 'monoid <G> ...' or 'group <G> ...'", lineno, line)
         r.fail_if_errors()
-    obj_by_str = {str(x): x for x in C.objects}
-    arr_by_str = {str(a): a for a in C.all_arrows()}
-    if toks[1] not in obj_by_str:
+    labels = label_index(C)
+    if toks[1] not in labels.objects:
         r.error("unknown-object", f"unknown carrier {toks[1]!r}", lineno, line, toks[1])
         r.fail_if_errors()
-    G = obj_by_str[toks[1]]
+    G = labels.objects[toks[1]]
     opts = {}
     for tok in toks[2:]:
         if tok == "via":
@@ -363,23 +408,23 @@ def parse_witness_file(text: str, C, filename: str = "<string>"):
 
     def arrow_of(k):
         v = opts[k]
-        if v not in arr_by_str:
+        if v not in labels.arrows:
             r.error("unknown-arrow", f"unknown arrow {v!r} for {k}", lineno, line, v)
             return None
-        return arr_by_str[v]
+        return labels.arrows[v]
 
     mu, eta = arrow_of("mul"), arrow_of("unit")
     zeta = arrow_of("inv") if kind == "group" else None
     cone_gg = cone_ggg = None
     if "product" in opts:
-        parsed = _parse_cone(opts["product"], G, C, r, lineno, line)
+        parsed = _parse_cone(opts["product"], labels, r, lineno, line)
         if parsed:
             cone_gg = ProductCone(G, G, parsed[0], parsed[1], parsed[2])
     if "product3" in opts:
         if cone_gg is None:
             r.error("syntax", "product3 needs an explicit product", lineno, line)
         else:
-            parsed = _parse_cone(opts["product3"], G, C, r, lineno, line)
+            parsed = _parse_cone(opts["product3"], labels, r, lineno, line)
             if parsed:
                 cone_ggg = ProductCone(cone_gg.apex, G, parsed[0], parsed[1], parsed[2])
     r.fail_if_errors()

@@ -17,8 +17,6 @@ arrows are listed only when asked for (``Sieve.members``, as
 set is never a ``Sieve``, and ``is_sieve`` tests whether it is one.
 Classes are numbered by their first arrow in ``C.arrows_into(x)``, and
 ``sorted_sieves`` orders by those numbers: it lists and labels no arrow.
-``_sieve_of_labels`` reads a sieve straight from arrow labels, as a
-topology file gives them.
 """
 
 from __future__ import annotations
@@ -105,21 +103,6 @@ def sieve_closure(C, x, generators: Iterable) -> Sieve:
         if i is None:
             raise StructuralError(f"generator {C.arrow_label(f)} is not an arrow into {x!r}")
         ideal |= down[i]
-    return sieves.sieve(ideal)
-
-
-def _sieve_of_labels(C, x, labels: Iterable[str]) -> Sieve | None:
-    """The sieve on x generated by the arrows named by ``labels`` (their
-    ``str``), as ``sieve_closure`` gives it; None when a label names no
-    arrow into x, or names more than one arrow of C.  Each label costs one
-    dict lookup and one OR."""
-    sieves = _sieves_on(C, x)
-    down, ideal = sieves.down_by_label, 0
-    for t in labels:
-        mask = down.get(t)
-        if mask is None:
-            return None
-        ideal |= mask
     return sieves.sieve(ideal)
 
 
@@ -228,18 +211,6 @@ def _bits(mask: int):
     return itertools.compress(itertools.count(), _flags(mask))
 
 
-_SHARED = object()  # C._sieve_cache key of the labels that name two arrows of C
-
-
-def _shared_labels(C) -> set:
-    """The labels (``str``) that name more than one arrow of C, cached on C."""
-    shared = C._sieve_cache.get(_SHARED)
-    if shared is None:
-        seen: set = set()
-        shared = C._sieve_cache[_SHARED] = {t for t in map(str, C.all_arrows()) if t in seen or seen.add(t)}
-    return shared
-
-
 def _sieves_on(C, x):
     """The ``_ObjectSieves`` of x, cached on C."""
     sieves = C._sieve_cache.get(x)
@@ -255,12 +226,13 @@ class _ObjectSieves:
     """The sieves on one object x, each built once, and what pulling back
     and ordering need to work one factoring class at a time.
 
-    ``keys[i]`` is the factoring key of class i (a <= b iff a factors
-    through b, that is iff ``C.factoring_key(a)`` is a subset of
-    ``C.factoring_key(b)``).  Sieves are the down-sets of the poset of
-    classes, each an int mask with bit i = class i; ``below[i]`` is the
-    mask of the classes strictly under class i, and ``down[i]`` adds
-    class i.  A backend lists the classes, numbered by their first arrow
+    ``keys[i]`` is the factoring key of class i: a set that is a subset
+    of another class's key iff the arrows of i factor through that
+    class's arrows (on a table ``FinCategory.factoring_key``, the sieve an
+    arrow generates; on finite sets an arrow's image).  Sieves are the
+    down-sets of the poset of classes, each an int mask with bit i =
+    class i; ``below[i]`` is the mask of the classes strictly under class
+    i, and ``down[i]`` adds class i.  A backend lists the classes, numbered by their first arrow
     in ``C.arrows_into(x)``, and gives, per class, a representative arrow
     (``rep``), its size (``sizes``), ``class_of`` and the members of a
     union of classes.
@@ -273,7 +245,6 @@ class _ObjectSieves:
         self.universe = None
         self._below = None
         self._down = None
-        self._by_label = None
         self._built: dict = {}  # down-set mask -> its sieve
         self._order_keys: dict = {}  # sieve -> its key in sorted_sieves
         self._preimages: dict = {}  # arrow h out of x -> per class c at cod(h), the mask of classes i with h . i in c
@@ -295,17 +266,6 @@ class _ObjectSieves:
     @property
     def minimal(self) -> int:
         return _mask(i for i, b in enumerate(self.below) if not b)
-
-    @property
-    def down_by_label(self) -> dict:
-        """``down[i]`` of the class of each arrow into x, by its label
-        (``str``), for the labels that name one arrow of C."""
-        if self._by_label is None:
-            C, shared, down = self.C, _shared_labels(self.C), self.down
-            self._by_label = {
-                t: down[self.class_of(a)] for a in C.arrows_into(self.x) if (t := str(a)) not in shared
-            }
-        return self._by_label
 
     def sieve(self, ideal: int) -> Sieve:
         """The sieve made of the classes in the down-set mask ``ideal``,

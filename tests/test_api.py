@@ -3,6 +3,7 @@ as a change to this file, and the README's table of removed names checked
 against the code."""
 
 import importlib
+import importlib.util
 import inspect
 import re
 from pathlib import Path
@@ -10,7 +11,8 @@ from pathlib import Path
 import finsite
 import finsite.sieves
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 PACKAGE = [
     "DomainError", "FinCategory", "FinFunction", "FinSetCategory", "FinsiteError", "Functor",
@@ -66,3 +68,14 @@ def test_removed_names_do_not_resolve():
     assert "finsite.sieves.empty_sieve" in names and "finsite.fincat.check_commutes" in names
     assert [n for n in names if resolves(n)] == []
     assert resolves("finsite.sieves.sieve_closure")
+
+
+def test_traced_names_exist():
+    """The benchmark's tracer skips a name it cannot find, so a renamed
+    function would read 0 in its per-layer metrics instead of failing."""
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    traced = [f"finsite.{m}.{n}" for m, names in tracing.FUNCTIONS.items() for n in names]
+    traced += [f"finsite.fincat.{c}.{m}" for c in tracing.CATEGORY_CLASSES for m in tracing.METHODS]
+    assert [name for name in traced if not resolves(name)] == []

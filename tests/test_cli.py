@@ -85,6 +85,9 @@ class TestVerbs:
         code, report = run("validate", category=str(out))
         assert code == 0
 
+    def test_make_category_divisor_zero_is_a_domain_error(self):
+        assert run("make-category", divisor=0) == (2, "error: divisor poset needs a positive integer, got 0")
+
     def test_make_topology_atomic_failure_is_one(self, tmp_path):
         cospan = str(FIXTURES / "cospan.cat")
         code, report = run("make-topology", category=cospan, kind="atomic", output=str(tmp_path / "a.gtop"))
@@ -121,6 +124,14 @@ class TestVerbs:
         code, report = run("pullback", category=d12_file, arrow="6|12", sieve="{4|12}")
         assert code == 0
         assert "{1|6, 2|6}" in report
+
+    def test_pullback_with_an_unknown_arrow_in_the_sieve(self, d12_file):
+        code, report = run("pullback", category=d12_file, arrow="6|12", sieve="{4|12, 5|12}")
+        assert (code, report) == (2, "--sieve:1:8-11: [unknown-arrow] unknown arrow '5|12'")
+
+    def test_pullback_with_a_sieve_arrow_into_another_object(self, d12_file):
+        code, report = run("pullback", category=d12_file, arrow="6|12", sieve="{2|6}")
+        assert (code, report) == (2, "--sieve:1:2-4: [wrong-codomain] arrow '2|6' lands in '6', not in '12'")
 
     def test_pullback_with_topology(self, d12_file, dense12):
         code, report = run("pullback", category=d12_file, arrow="6|12", topology=dense12)
@@ -248,6 +259,34 @@ class TestVerbs:
         )
         assert code == 2
         assert "closed upward" in report and "contains the cover {1|12} but is not a cover" in report
+
+
+class TestIgnoredFlags:
+    """A flag the verb would ignore next to another is refused, by name."""
+
+    def test_make_category_divisor_and_product(self, arrow_file):
+        code, report = run("make-category", divisor=6, product=[arrow_file, arrow_file])
+        assert (code, report) == (2, "error: --product cannot be combined with --divisor")
+
+    def test_pullback_sieve_and_topology(self, d12_file, dense12):
+        code, report = run("pullback", category=d12_file, arrow="6|12", sieve="{4|12}", topology=dense12)
+        assert (code, report) == (2, "error: --topology cannot be combined with --sieve")
+
+    @pytest.mark.parametrize("flag", [{"unit": "1"}, {"product_topology": "dense"}])
+    def test_morphism_level_check_gtop_with_a_functor_level_flag(self, d12_file, dense12, flag):
+        wit = str(FIXTURES / "top12.wit")
+        code, report = run("check-gtop", category=d12_file, topology=dense12, witness=wit, **flag)
+        (key,) = flag
+        assert (code, report) == (2, f"error: --{key.replace('_', '-')} needs --functor-level")
+
+    def test_functor_level_check_gtop_with_a_witness(self, d12_file, dense12):
+        wit = str(FIXTURES / "top12.wit")
+        code, report = run("check-gtop", category=d12_file, topology=dense12, functor_level=True, unit="1", witness=wit)
+        assert (code, report) == (2, "error: --witness cannot be combined with --functor-level")
+
+    def test_main_refuses_them_too(self, capsys, d12_file):
+        assert main(["make-category", "--divisor", "6", "--product", d12_file, d12_file]) == 2
+        assert capsys.readouterr().out == "error: --product cannot be combined with --divisor\n"
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
 import functools
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -111,6 +112,22 @@ class TestDivisorPoset:
         for k in C.objects:
             for m in C.objects:
                 assert C.hom_size(k, m) == (1 if m % k == 0 else 0)
+
+    @given(st.integers(min_value=1, max_value=400))
+    @settings(max_examples=40, deadline=None)
+    def test_trial_division_matches_the_linear_definition(self, n):
+        C = build_divisor_poset(n)
+        assert list(C.objects) == divisors(n)
+        assert {a: (C.dom(a), C.cod(a)) for a in C.all_arrows() if not C.is_identity(a)} == {
+            f"{k}|{m}": (k, m) for m in divisors(n) for k in divisors(m) if k != m
+        }
+        assert validate_category(C).ok
+
+    def test_a_large_n_with_few_divisors_builds_quickly(self):
+        start = time.perf_counter()
+        C = build_divisor_poset(2**40)
+        assert C.objects == tuple(2**i for i in range(41))
+        assert time.perf_counter() - start < 5
 
     @given(st.integers(min_value=1, max_value=60))
     @settings(max_examples=25, deadline=None)

@@ -1,11 +1,13 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finsite.algebra import GroupObjectWitness, check_group_object
 from finsite.fincat import validate_category
 from finsite.gtopology import dense_topology
-from finsite.sieves import sieve_closure
+from finsite.sieves import maximal_sieve, sieve_closure
 from finsite.parsing import (
     ParseFailure,
     parse_category_file,
@@ -15,6 +17,7 @@ from finsite.parsing import (
     serialize_topology,
     serialize_witness,
 )
+from test_gtopology import posets, transformation_monoids
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -89,6 +92,28 @@ class TestCategoryParsing:
             parse_category_file("category bad\narrow id_x : a -> b\n", "bad.cat")
         assert any(d.code == "reserved-id" for d in e.value.diagnostics)
 
+    def test_a_second_composite_for_a_pair_is_rejected(self):
+        text = (
+            "category bad\n"
+            "arrow f : a -> b\narrow g : b -> c\narrow h : a -> c\narrow k : a -> c\n"
+            "compose g . f = h\ncompose g . f = h\ncompose g . f = k\n"
+        )
+        with pytest.raises(ParseFailure) as e:
+            parse_category_file(text, "bad.cat")
+        (d,) = e.value.diagnostics
+        assert (d.code, d.message) == ("conflicting-compose", "g . f is 'h', not 'k'")
+        assert (d.span.line, d.span.col_start, d.span.col_end) == (8, 17, 17)
+
+    def test_a_composite_with_an_identity_must_be_the_other_arrow(self):
+        head = "category bad\narrow f : a -> b\narrow g : a -> b\n"
+        C = parse_category_file(head + "compose id_b . f = f\ncompose g . id_a = g\n", "ok.cat")
+        assert C.compose("id_b", "f") == "f"
+        with pytest.raises(ParseFailure) as e:
+            parse_category_file(head + "compose id_b . f = g\n", "bad.cat")
+        (d,) = e.value.diagnostics
+        assert (d.code, d.message) == ("conflicting-compose", "id_b . f is 'f', not 'g'")
+        assert d.span.line == 4
+
     def test_spans_point_into_the_line(self):
         text = "category bad\narrow f : a -> b\ncompose zzz . f = f\n"
         with pytest.raises(ParseFailure) as e:
@@ -139,6 +164,31 @@ class TestTopologyParsing:
             parse_topology_file("topology t on alike\ncover b : {1}\n", C)
         (d,) = e.value.diagnostics
         assert (d.code, d.message) == ("wrong-codomain", "arrow '1' lands in 'c', not in 'b'")
+
+    @given(st.one_of(posets(), transformation_monoids()), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_a_cover_line_reads_as_the_closure_of_its_arrows(self, C, data):
+        x = data.draw(st.sampled_from(C.objects))
+        gens = data.draw(st.lists(st.sampled_from(C.arrows_into(x)), max_size=4))
+        labels = list(map(str, gens))
+        head = f"topology t on {C.name}\n"
+        J, _ = parse_topology_file(head + f"cover {x} : {{{', '.join(labels)}}}\n", C, verify=False)
+        assert J.covers(x) == {maximal_sieve(C, x), sieve_closure(C, x, gens)}
+        # one label that names no arrow into x, at a random place on the line
+        into_others = [a for a in C.all_arrows() if C.cod(a) != x]
+        bad = data.draw(st.sampled_from([None] + into_others))
+        labels.insert(data.draw(st.integers(0, len(labels))), "nope" if bad is None else str(bad))
+        line = f"cover {x} : {{{', '.join(labels)}}}"
+        with pytest.raises(ParseFailure) as e:
+            parse_topology_file(head + line + "\n", C, "t.gtop")
+        (d,) = e.value.diagnostics
+        if bad is None:
+            assert (d.code, d.message) == ("unknown-arrow", "unknown arrow 'nope'")
+        else:
+            assert (d.code, d.message) == ("wrong-codomain", f"arrow '{bad}' lands in {C.cod(bad)!r}, not in '{x}'")
+        token = "nope" if bad is None else str(bad)
+        start = line.index("{") + line[line.index("{"):].index(token) + 1
+        assert (d.span.line, d.span.col_start, d.span.col_end) == (2, start, start + len(token) - 1)
 
     def test_wrong_category_name(self, d12s):
         with pytest.raises(ParseFailure) as e:
