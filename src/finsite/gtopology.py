@@ -106,7 +106,8 @@ class GrothendieckTopology:
                     raise StructuralError(f"covers mention unknown object {x!r}")
                 self._covers[x] = frozenset(sieves)
             for x in category.objects:
-                self._covers.setdefault(x, frozenset({maximal_sieve(category, x)}))
+                if x not in self._covers:
+                    self._covers[x] = frozenset({maximal_sieve(category, x)})
 
     def covers(self, x) -> frozenset:
         if x not in self._covers:

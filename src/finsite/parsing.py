@@ -32,7 +32,6 @@ Witness files are a single declaration::
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 
@@ -45,6 +44,8 @@ from .sieves import Sieve, _sieves_on, maximal_sieve
 _ID = re.compile(r"^[\w()|.*+\-]+$")
 _COVER = re.compile(r"^\s*cover\s+(\S+)\s*:\s*\{(.*)\}\s*$")
 _LITERAL = re.compile(r"^\s*\{(.*)\}\s*$")
+_WORD = re.compile(r"\S+")
+_LABEL = re.compile(r"[^,\s](?:[^,]*[^,\s])?")  # one label of a sieve literal, without the spaces around it
 
 
 @dataclass(frozen=True)
@@ -84,15 +85,14 @@ class _Reader:
             if stripped.strip():
                 self.lines.append((i, stripped))
 
-    def span(self, lineno, text, part=None):
+    def span(self, lineno, text, part=None, col=None):
+        """The whole line, or the token ``part`` at 0-based column ``col``."""
         if part is None:
             return SourceSpan(self.filename, lineno, 1, max(len(text), 1))
-        col = text.find(part)
-        col = col + 1 if col >= 0 else 1
-        return SourceSpan(self.filename, lineno, col, col + len(part) - 1)
+        return SourceSpan(self.filename, lineno, col + 1, col + len(part))
 
-    def error(self, code, message, lineno, text, part=None):
-        self.diagnostics.append(Diagnostic(code, message, self.span(lineno, text, part)))
+    def error(self, code, message, lineno, text, part=None, col=None):
+        self.diagnostics.append(Diagnostic(code, message, self.span(lineno, text, part, col)))
 
     def fail_if_errors(self):
         if self.diagnostics:
@@ -101,6 +101,12 @@ class _Reader:
 
 def _valid_id(tok: str) -> bool:
     return bool(_ID.match(tok))
+
+
+def _col(line: str, i: int) -> int:
+    """The 0-based column of the i-th whitespace-separated token of
+    ``line``; found only for a diagnostic."""
+    return [m.start() for m in _WORD.finditer(line)][i]
 
 
 # -- labels --------------------------------------------------------------
@@ -139,11 +145,12 @@ def label_index(C) -> LabelIndex:
     return C._labels
 
 
-def _read_sieve(r, lineno, line, labels, x, body):
+def _read_sieve(r, lineno, line, labels, x, body, start):
     """The sieve on x generated by the arrows that ``body``, the inside of
-    a sieve literal on ``line``, names, as ``sieve_closure`` gives it: one
-    dict lookup and one OR per label.  None, with a diagnostic for each
-    label that names no arrow into x, when there is such a label."""
+    a sieve literal at column ``start`` of ``line``, names, as
+    ``sieve_closure`` gives it: one dict lookup and one OR per label.
+    None, with a diagnostic for each label that names no arrow into x,
+    when there is such a label."""
     toks = [t for t in map(str.strip, body.split(",")) if t]
     masks, ideal = labels.masks(x), 0
     for t in toks:
@@ -153,12 +160,15 @@ def _read_sieve(r, lineno, line, labels, x, body):
         ideal |= mask
     else:
         return _sieves_on(labels.C, x).sieve(ideal)
-    for t in itertools.filterfalse(masks.__contains__, toks):
+    for m in _LABEL.finditer(body):
+        t, col = m.group(), start + m.start()
+        if t in masks:
+            continue
         a = labels.arrows.get(t)
         if a is None:
-            r.error("unknown-arrow", f"unknown arrow {t!r}", lineno, line, t)
+            r.error("unknown-arrow", f"unknown arrow {t!r}", lineno, line, t, col)
         else:
-            r.error("wrong-codomain", f"arrow {t!r} lands in {labels.C.cod(a)!r}, not in {str(x)!r}", lineno, line, t)
+            r.error("wrong-codomain", f"arrow {t!r} lands in {labels.C.cod(a)!r}, not in {str(x)!r}", lineno, line, t, col)
     return None
 
 
@@ -170,7 +180,7 @@ def parse_sieve_literal(text: str, C, x, filename: str = "<string>") -> Sieve:
     if m is None:
         r.error("syntax", "sieve literal must be brace-delimited", 1, text)
         r.fail_if_errors()
-    S = _read_sieve(r, 1, text, label_index(C), x, m.group(1))
+    S = _read_sieve(r, 1, text, label_index(C), x, m.group(1), m.start(1))
     r.fail_if_errors()
     return S
 
@@ -197,7 +207,7 @@ def parse_category_file(text: str, filename: str = "<string>") -> FinCategory:
 
     def add_object(obj, lineno, line, explicit):
         if explicit and obj in seen_objects:
-            r.error("duplicate-object", f"object {obj!r} declared twice", lineno, line, obj)
+            r.error("duplicate-object", f"object {obj!r} declared twice", lineno, line, obj, _col(line, 1))
             return
         if obj not in seen_objects:
             seen_objects.add(obj)
@@ -207,20 +217,20 @@ def parse_category_file(text: str, filename: str = "<string>") -> FinCategory:
         toks = line.split()
         if toks[0] == "object" and len(toks) == 2:
             if not _valid_id(toks[1]):
-                r.error("syntax", f"invalid object id {toks[1]!r}", lineno, line, toks[1])
+                r.error("syntax", f"invalid object id {toks[1]!r}", lineno, line, toks[1], _col(line, 1))
                 continue
             add_object(toks[1], lineno, line, explicit=True)
         elif toks[0] == "arrow" and len(toks) == 6 and toks[2] == ":" and toks[4] == "->":
             aid, dom, cod = toks[1], toks[3], toks[5]
-            bad = [t for t in (aid, dom, cod) if not _valid_id(t)]
+            bad = [i for i in (1, 3, 5) if not _valid_id(toks[i])]
             if bad:
-                r.error("syntax", f"invalid id {bad[0]!r}", lineno, line, bad[0])
+                r.error("syntax", f"invalid id {toks[bad[0]]!r}", lineno, line, toks[bad[0]], _col(line, bad[0]))
                 continue
             if aid.startswith("id_"):
-                r.error("reserved-id", f"arrow id {aid!r} uses the reserved identity prefix", lineno, line, aid)
+                r.error("reserved-id", f"arrow id {aid!r} uses the reserved identity prefix", lineno, line, aid, _col(line, 1))
                 continue
             if aid in arrows:
-                r.error("duplicate-arrow", f"arrow {aid!r} declared twice", lineno, line, aid)
+                r.error("duplicate-arrow", f"arrow {aid!r} declared twice", lineno, line, aid, _col(line, 1))
                 continue
             add_object(dom, lineno, line, explicit=False)
             add_object(cod, lineno, line, explicit=False)
@@ -229,13 +239,14 @@ def parse_category_file(text: str, filename: str = "<string>") -> FinCategory:
         elif toks[0] == "compose" and len(toks) == 6 and toks[2] == "." and toks[4] == "=":
             compose_decls.append((lineno, line, toks[1], toks[3], toks[5]))
         else:
-            r.error("syntax", f"unrecognized declaration {toks[0]!r}", lineno, line, toks[0])
+            r.error("syntax", f"unrecognized declaration {toks[0]!r}", lineno, line, toks[0], _col(line, 0))
     table = {}
     ident = {x: f"id_{x}" for x in seen_objects}
     for lineno, line, g, f, h in compose_decls:
-        missing = [a for a in (g, f, h) if a not in arrows and a not in set(ident.values())]
+        missing = [(i, a) for i, a in ((1, g), (3, f), (5, h)) if a not in arrows and a not in set(ident.values())]
         if missing:
-            r.error("unknown-arrow", f"compose line references unknown arrow {missing[0]!r}", lineno, line, missing[0])
+            i, a = missing[0]
+            r.error("unknown-arrow", f"compose line references unknown arrow {a!r}", lineno, line, a, _col(line, i))
             continue
 
         def endpoints(a):
@@ -248,17 +259,17 @@ def parse_category_file(text: str, filename: str = "<string>") -> FinCategory:
         gd, gc = endpoints(g)
         hd, hc = endpoints(h)
         if fc != gd:
-            r.error("ill-typed-compose", f"cod({f!r}) is {fc!r} but dom({g!r}) is {gd!r}", lineno, line, g)
+            r.error("ill-typed-compose", f"cod({f!r}) is {fc!r} but dom({g!r}) is {gd!r}", lineno, line, g, _col(line, 1))
             continue
         if (hd, hc) != (fd, gc):
-            r.error("ill-typed-compose", f"composite {h!r} must run {fd!r} -> {gc!r}", lineno, line, h)
+            r.error("ill-typed-compose", f"composite {h!r} must run {fd!r} -> {gc!r}", lineno, line, h, _col(line, 5))
             continue
         if g not in arrows or f not in arrows:  # a unit law fixes the composite
             known = f if g not in arrows else g
         else:  # the first line given for the pair does
             known = table.setdefault((g, f), h)
         if h != known:
-            r.error("conflicting-compose", f"{g} . {f} is {known!r}, not {h!r}", lineno, line, h)
+            r.error("conflicting-compose", f"{g} . {f} is {known!r}, not {h!r}", lineno, line, h, _col(line, 5))
     r.fail_if_errors()
     try:
         return FinCategory.from_data(name, objects, arrows, table)
@@ -312,7 +323,7 @@ def parse_topology_file(
         r.fail_if_errors()
     name = head[1]
     if head[3] != C.name:
-        r.error("wrong-category", f"topology is declared on {head[3]!r} but the category is {C.name!r}", lineno, line, head[3])
+        r.error("wrong-category", f"topology is declared on {head[3]!r} but the category is {C.name!r}", lineno, line, head[3], _col(line, 3))
     labels = label_index(C)
     covers: dict = {x: {maximal_sieve(C, x)} for x in C.objects}
     for lineno, line in r.lines[1:]:
@@ -323,9 +334,9 @@ def parse_topology_file(
         obj_tok, body = m.group(1), m.group(2)
         x = labels.objects.get(obj_tok)
         if x is None:
-            r.error("unknown-object", f"unknown object {obj_tok!r}", lineno, line, obj_tok)
+            r.error("unknown-object", f"unknown object {obj_tok!r}", lineno, line, obj_tok, m.start(1))
             continue
-        S = _read_sieve(r, lineno, line, labels, x, body)
+        S = _read_sieve(r, lineno, line, labels, x, body, m.start(2))
         if S is not None:
             covers[x].add(S)
     r.fail_if_errors()
@@ -353,17 +364,20 @@ def serialize_topology(J: GrothendieckTopology) -> str:
 # -- witnesses -----------------------------------------------------------
 
 
-def _parse_cone(tok, labels, r, lineno, line):
+def _parse_cone(tok, col, labels, r, lineno, line):
+    """The (apex, p1, p2) that the cone spec ``tok``, at column ``col`` of
+    ``line``, names."""
     parts = tok.split(":")
     if len(parts) != 3:
-        r.error("syntax", f"cone spec {tok!r} must be <apex>:<p1>:<p2>", lineno, line, tok)
+        r.error("syntax", f"cone spec {tok!r} must be <apex>:<p1>:<p2>", lineno, line, tok, col)
         return None
     if parts[0] not in labels.objects:
-        r.error("unknown-object", f"unknown apex {parts[0]!r}", lineno, line, parts[0])
+        r.error("unknown-object", f"unknown apex {parts[0]!r}", lineno, line, parts[0], col)
         return None
-    for p in parts[1:]:
+    for before, p in zip(parts, parts[1:]):
+        col += len(before) + 1
         if p not in labels.arrows:
-            r.error("unknown-arrow", f"unknown projection {p!r}", lineno, line, p)
+            r.error("unknown-arrow", f"unknown projection {p!r}", lineno, line, p, col)
             return None
     return labels.objects[parts[0]], labels.arrows[parts[1]], labels.arrows[parts[2]]
 
@@ -382,25 +396,25 @@ def parse_witness_file(text: str, C, filename: str = "<string>"):
         r.fail_if_errors()
     labels = label_index(C)
     if toks[1] not in labels.objects:
-        r.error("unknown-object", f"unknown carrier {toks[1]!r}", lineno, line, toks[1])
+        r.error("unknown-object", f"unknown carrier {toks[1]!r}", lineno, line, toks[1], _col(line, 1))
         r.fail_if_errors()
     G = labels.objects[toks[1]]
-    opts = {}
-    for tok in toks[2:]:
+    opts, at = {}, {}  # option -> its value, and the index of its token
+    for i, tok in enumerate(toks[2:], start=2):
         if tok == "via":
             continue
         if "=" not in tok:
-            r.error("syntax", f"expected key=value, got {tok!r}", lineno, line, tok)
+            r.error("syntax", f"expected key=value, got {tok!r}", lineno, line, tok, _col(line, i))
             continue
         k, v = tok.split("=", 1)
         if k in opts:
-            r.error("syntax", f"option {k!r} given twice", lineno, line, tok)
+            r.error("syntax", f"option {k!r} given twice", lineno, line, tok, _col(line, i))
             continue
-        opts[k] = v
+        opts[k], at[k] = v, i
     allowed = {"mul", "unit", "product", "product3"} | ({"inv"} if kind == "group" else set())
     for k in opts:
         if k not in allowed:
-            r.error("syntax", f"unknown option {k!r}", lineno, line, k)
+            r.error("syntax", f"unknown option {k!r}", lineno, line, k, _col(line, at[k]))
     for k in ("mul", "unit") + (("inv",) if kind == "group" else ()):
         if k not in opts:
             r.error("syntax", f"missing required option {k!r}", lineno, line)
@@ -409,7 +423,7 @@ def parse_witness_file(text: str, C, filename: str = "<string>"):
     def arrow_of(k):
         v = opts[k]
         if v not in labels.arrows:
-            r.error("unknown-arrow", f"unknown arrow {v!r} for {k}", lineno, line, v)
+            r.error("unknown-arrow", f"unknown arrow {v!r} for {k}", lineno, line, v, _col(line, at[k]) + len(k) + 1)
             return None
         return labels.arrows[v]
 
@@ -417,14 +431,14 @@ def parse_witness_file(text: str, C, filename: str = "<string>"):
     zeta = arrow_of("inv") if kind == "group" else None
     cone_gg = cone_ggg = None
     if "product" in opts:
-        parsed = _parse_cone(opts["product"], labels, r, lineno, line)
+        parsed = _parse_cone(opts["product"], _col(line, at["product"]) + len("product="), labels, r, lineno, line)
         if parsed:
             cone_gg = ProductCone(G, G, parsed[0], parsed[1], parsed[2])
     if "product3" in opts:
         if cone_gg is None:
             r.error("syntax", "product3 needs an explicit product", lineno, line)
         else:
-            parsed = _parse_cone(opts["product3"], labels, r, lineno, line)
+            parsed = _parse_cone(opts["product3"], _col(line, at["product3"]) + len("product3="), labels, r, lineno, line)
             if parsed:
                 cone_ggg = ProductCone(cone_gg.apex, G, parsed[0], parsed[1], parsed[2])
     r.fail_if_errors()

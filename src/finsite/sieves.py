@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from typing import Iterable
 
 from .errors import ResourceError, StructuralError
@@ -226,16 +227,17 @@ class _ObjectSieves:
     """The sieves on one object x, each built once, and what pulling back
     and ordering need to work one factoring class at a time.
 
-    ``keys[i]`` is the factoring key of class i: a set that is a subset
-    of another class's key iff the arrows of i factor through that
-    class's arrows (on a table ``FinCategory.factoring_key``, the sieve an
-    arrow generates; on finite sets an arrow's image).  Sieves are the
-    down-sets of the poset of classes, each an int mask with bit i =
-    class i; ``below[i]`` is the mask of the classes strictly under class
-    i, and ``down[i]`` adds class i.  A backend lists the classes, numbered by their first arrow
-    in ``C.arrows_into(x)``, and gives, per class, a representative arrow
-    (``rep``), its size (``sizes``), ``class_of`` and the members of a
-    union of classes.
+    ``keys[i]`` is the factoring key of class i, which says which classes
+    its arrows factor through: on a table the sieve an arrow generates
+    (``FinCategory.factoring_key``), on finite sets an arrow's image as an
+    int mask over carrier indices.  Sieves are the down-sets of the poset
+    of classes, each an int mask with bit i = class i; ``below[i]`` is the
+    mask of the classes strictly under class i, and ``down[i]`` adds class
+    i.  A backend lists the classes, numbered by their first arrow in
+    ``C.arrows_into(x)``, and gives ``below`` or ``down``, and per class a
+    representative arrow (``rep``), its size (``sizes``), ``class_of``, the
+    members of a union of classes and the class map of an arrow out of x
+    (``class_map``).
     """
 
     def __init__(self, C, x, keys):
@@ -249,13 +251,6 @@ class _ObjectSieves:
         self._order_keys: dict = {}  # sieve -> its key in sorted_sieves
         self._preimages: dict = {}  # arrow h out of x -> per class c at cod(h), the mask of classes i with h . i in c
         self._pulled: dict = {}  # (h, sieve on cod(h)) -> its pullback along h
-
-    @property
-    def below(self) -> list:
-        if self._below is None:
-            keys = self.keys
-            self._below = [_mask(j for j, kj in enumerate(keys) if kj < ki) for ki in keys]
-        return self._below
 
     @property
     def down(self) -> list:
@@ -280,21 +275,15 @@ class _ObjectSieves:
 
     def preimages(self, h, at_cod) -> list:
         """Per class c at cod(h) (whose sieves are ``at_cod``), the mask of
-        the classes at x that the arrow h: x -> cod(h) sends into c; built
-        once per h.
+        the classes at x that the arrow h: x -> cod(h) sends into c, read
+        from h's class map; built once per h.
 
-        h is composed with one arrow of each class at x: if g and g'
-        factor through each other, so do h.g and h.g'.  The masks are
-        disjoint, so a pullback, the union of the masks of a sieve's
-        classes, is their sum.
+        The masks are disjoint, so a pullback, the union of the masks of a
+        sieve's classes, is their sum.
         """
         pre = self._preimages.get(h)
         if pre is None:
-            compose = self.C.compose
-            pre = [0] * len(at_cod.keys)
-            for i in range(len(self.keys)):
-                pre[at_cod.class_of(compose(h, self.rep(i)))] |= 1 << i
-            self._preimages[h] = pre
+            pre = self._preimages[h] = _fibres(self.class_map(h, at_cod), len(at_cod.keys))
         return pre
 
     def pullback(self, h, S: Sieve) -> Sieve:
@@ -328,6 +317,28 @@ class _ObjectSieves:
         return [self.sieve(ideal) for ideal in ideals]
 
 
+_BLOCK = 1 << 12  # positions per block in _fibres
+
+
+def _fibres(classes, n: int) -> list:
+    """Per c < n, the mask of the positions i with ``classes[i] == c``.
+
+    Setting a bit copies its int, so past the first block of positions
+    bits are set in small per-block ints, each shifted into its mask
+    once, instead of copying a growing mask per position.
+    """
+    masks = [0] * n
+    for i, c in enumerate(classes[:_BLOCK]):
+        masks[c] |= 1 << i
+    for lo in range(_BLOCK, len(classes), _BLOCK):
+        block: dict = {}
+        for i, c in enumerate(classes[lo : lo + _BLOCK]):
+            block[c] = block.get(c, 0) | 1 << i
+        for c, mask in block.items():
+            masks[c] |= mask << lo
+    return masks
+
+
 class _TableClasses(_ObjectSieves):
     """The classes of a table category, read from its stored arrows in
     their order in ``C.arrows_into(x)``."""
@@ -357,6 +368,13 @@ class _TableClasses(_ObjectSieves):
     def class_of(self, a):
         return self._class_of.get(a)
 
+    def class_map(self, h, at_cod) -> list:
+        """The class at cod(h) of h composed with each class's
+        representative: if g and g' factor through each other, so do h.g
+        and h.g'."""
+        compose, class_of = self.C.compose, at_cod.class_of
+        return [class_of(compose(h, r)) for r in self._reps]
+
     def members(self, ideal: int) -> frozenset:
         return frozenset().union(*itertools.compress(self.classes, _flags(ideal)))
 
@@ -373,18 +391,24 @@ class _ImageClasses(_ObjectSieves):
     An arrow's factoring key is its image, so the classes at x are the
     image subsets A of x's carrier that some arrow realizes: the nonempty
     ones up to the largest carrier's size, and the empty one when some
-    carrier is empty.  Class A holds surj(|dom|, |A|) arrows from each
-    domain.  Classes are numbered, as on tables, by their first arrow in
+    carrier is empty.  ``keys[i]`` is class i's image as an int mask, bit
+    j = the j-th element of x's carrier.  Class A holds surj(|dom|, |A|)
+    arrows from each domain.
+
+    Classes are numbered, as on tables, by their first arrow in
     ``C.arrows_into(x)`` (hom-sets in object order, each in the order of
-    its image tuples), found without listing a hom-set: the first arrow
-    of A from an m-element domain sends the first m - |A| + 1 elements to
-    A's first element (in carrier order) and the rest to A's other
-    elements in turn.
+    its image index tuples).  The first arrow of A comes from the first
+    domain d of at least |A| elements (of none, for the empty image), and
+    sends d's first m - |A| + 1 elements to A's first element (in carrier
+    order) and the rest to A's other elements in turn.  So among the
+    classes first reached from d, A precedes B when A's first element
+    does, or, with equal first elements, when A is smaller (the longer
+    run of A's first element meets B's second element), or, with equal
+    sizes, when A's other elements come first lexicographically.
     """
 
     def __init__(self, C, x):
-        carrier = C.carrier(x)
-        n = len(carrier)
+        n = len(C.carrier(x))
         sizes = [len(C.carrier(d)) for d in C.objects]
         ks = range(0 if 0 in sizes else 1, min(n, max(sizes)) + 1)
         count = sum(math.comb(n, k) for k in ks)
@@ -394,27 +418,64 @@ class _ImageClasses(_ObjectSieves):
                 cap_name="homs",
                 cap_value=C.hom_cap,
             )
-        firsts = []  # (first domain, the index tuple of its first arrow, the image's indices)
-        for k in ks:
-            d = next(d for d, m in enumerate(sizes) if (m >= k if k else m == 0))
-            for image in itertools.combinations(range(n), k):
-                firsts.append((d, image[:1] * (sizes[d] - k + 1) + image[1:], image))
-        firsts.sort()
-        super().__init__(C, x, [frozenset(carrier[i] for i in image) for _, _, image in firsts])
-        self._index = {A: i for i, A in enumerate(self.keys)}
-        self._firsts = [(C.objects[d], tuple(carrier[i] for i in first)) for d, first, _ in firsts]
+        # the index of the first domain of each image size
+        self._first_domain = {k: next(d for d, m in enumerate(sizes) if (m >= k if k else m == 0)) for k in ks}
+        bit = [1 << j for j in range(n)]
+        keys = []
+        for d in sorted(set(self._first_domain.values())):
+            if not sizes[d]:
+                keys.append(0)  # the empty image
+                continue
+            own = [k for k in ks if self._first_domain[k] == d]
+            for j in range(n):  # by first element, then size, then the other elements
+                for k in own:
+                    keys.extend(bit[j] + sum(rest) for rest in itertools.combinations(bit[j + 1 :], k - 1))
+        super().__init__(C, x, keys)
+        self._index = {A: i for i, A in enumerate(keys)}
         by_k = {k: sum(_surjections(m, k) for m in sizes) for k in ks}
-        self.sizes = [by_k[len(A)] for A in self.keys]
+        self.sizes = [by_k[A.bit_count()] for A in keys]
+
+    def _elements(self, A: int) -> list:
+        carrier = self.C.carrier(self.x)
+        return [carrier[j] for j in _bits(A)]
 
     def rep(self, i):
-        d, images = self._firsts[i]
-        return FinFunction(d, self.x, images)
+        image = self._elements(self.keys[i])
+        d = self.C.objects[self._first_domain[len(image)]]
+        m = len(self.C.carrier(d))
+        return FinFunction(d, self.x, tuple(image[:1] * (m - len(image) + 1) + image[1:]))
+
+    @property
+    def down(self) -> list:
+        # the classes under A are A and those under A less one element,
+        # which are found first when classes are taken by size
+        if self._down is None:
+            keys, index = self.keys, self._index
+            down = [0] * len(keys)
+            for i in sorted(range(len(keys)), key=lambda i: keys[i].bit_count()):
+                A = rest = keys[i]
+                mask = 1 << i
+                while rest:
+                    j = index.get(A ^ (rest & -rest))  # None for the empty image when no class holds it
+                    if j is not None:
+                        mask |= down[j]
+                    rest &= rest - 1
+                down[i] = mask
+            self._down = down
+        return self._down
+
+    @property
+    def below(self) -> list:
+        if self._below is None:
+            self._below = [m & ~(1 << i) for i, m in enumerate(self.down)]
+        return self._below
 
     @property
     def minimal(self) -> int:
-        # the empty image when one is realizable, otherwise the singletons
-        least = min(map(len, self.keys))
-        return _mask(i for i, k in enumerate(self.keys) if len(k) == least)
+        # the empty image when one is realizable, otherwise the singletons,
+        # found without building the lower sets
+        least = min(A.bit_count() for A in self.keys)
+        return _mask(i for i, A in enumerate(self.keys) if A.bit_count() == least)
 
     def class_of(self, a):
         if type(a) is not FinFunction or a.cod != self.x:
@@ -422,13 +483,47 @@ class _ImageClasses(_ObjectSieves):
         carrier = self.C._carriers.get(a.dom)
         if carrier is None or len(carrier) != len(a.images):
             return None
-        return self._index.get(frozenset(a.images))
+        index, image = self.C._index[self.x], 0
+        for v in a.images:
+            j = index.get(v)
+            if j is None:
+                return None
+            image |= 1 << j
+        return self._index.get(image)
+
+    def class_map(self, h, at_cod) -> list:
+        """The class at y = cod(h) of h[A] for each class A at x, with no
+        arrow built or composed.
+
+        Each element j of x's carrier gives the bit of h(j) in y's
+        carrier, and h[A] is the OR of those bits over A, read for each
+        8-element chunk of x's carrier from a table of that chunk's
+        subsets.  h is checked as composing it would: it must be an arrow
+        of C out of x whose images lie in y's carrier.
+        """
+        C, y = self.C, at_cod.x
+        C._check_arrow(h)
+        if h.dom != self.x or h.cod != y:
+            raise StructuralError(f"arrow {h!r} does not run from {self.x!r} to {y!r}")
+        index = C._index[y]
+        try:
+            bits = [1 << index[v] for v in h.images]
+        except KeyError as e:
+            raise StructuralError(f"image {e.args[0]!r} of {h!r} is not in the carrier of {y!r}") from None
+        images = [0] * len(self.keys)
+        for lo in range(0, len(bits), 8):
+            table = [0]  # table[s] = the image of the subset s of this chunk
+            for b in bits[lo : lo + 8]:
+                table += [t | b for t in table]
+            chunk = map(table.__getitem__, [A >> lo & 255 for A in self.keys])
+            images = list(map(operator.or_, images, chunk))
+        return list(map(at_cod._index.__getitem__, images))
 
     def members(self, ideal: int) -> frozenset:
         """The arrows of the classes in ``ideal``; the hom cap bounds how
         many come from one domain."""
         C, x = self.C, self.x
-        images = [tuple(A) for A in itertools.compress(self.keys, _flags(ideal))]
+        images = [self._elements(A) for A in itertools.compress(self.keys, _flags(ideal))]
         out = []
         for d in C.objects:
             m = len(C.carrier(d))

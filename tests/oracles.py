@@ -77,6 +77,35 @@ def sieves_on(C, x) -> set[frozenset]:
     return found
 
 
+def factoring_classes(C, x) -> list[list]:
+    """The arrows into x grouped by the sieve each generates (arrows that
+    factor through each other generate the same one), in the order of
+    their first arrows in ``C.arrows_into(x)``."""
+    classes: dict = {}
+    for f in C.arrows_into(x):
+        principal = frozenset(C.compose(f, g) for g in C.arrows_into(C.dom(f)))
+        classes.setdefault(principal, []).append(f)
+    return list(classes.values())
+
+
+def preimage_masks(C, h, at_dom, at_cod) -> list[int]:
+    """Per factoring class c at cod(h), the mask (bit i = class i at
+    dom(h)) of the classes whose first arrow r has h.r in c, composing h
+    with each; ``at_dom`` and ``at_cod`` are the ``factoring_classes`` of
+    dom(h) and cod(h)."""
+    class_at_cod = {a: c for c, arrows in enumerate(at_cod) for a in arrows}
+    masks = [0] * len(at_cod)
+    for i, arrows in enumerate(at_dom):
+        masks[class_at_cod[C.compose(h, arrows[0])]] |= 1 << i
+    return masks
+
+
+def first_images(C, x) -> list[frozenset]:
+    """The images of the arrows into x of a finite-set category, each
+    where its first arrow stands in ``C.arrows_into(x)``."""
+    return list(dict.fromkeys(frozenset(a.images) for a in C.arrows_into(x)))
+
+
 def is_maximal(C, x, S) -> bool:
     return S == frozenset(C.arrows_into(x))
 
@@ -218,6 +247,12 @@ def image_classes(carrier, largest: int, empty: bool) -> list[frozenset]:
     return [frozenset(c) for k in sizes for c in combinations(carrier, k)]
 
 
+def strict_subsets(sets) -> list[set[int]]:
+    """Per set, the positions of the sets that are proper subsets of it,
+    comparing every pair."""
+    return [{j for j, B in enumerate(sets) if B < A} for A in sets]
+
+
 def image_sieves(classes) -> list[frozenset]:
     """The down-closed sets of image classes, by subset inclusion."""
     return down_sets(classes, lambda a, b: a <= b)
@@ -226,6 +261,16 @@ def image_sieves(classes) -> list[frozenset]:
 def image_pullback(f: dict, S, classes) -> frozenset:
     """The classes A (at f's domain) whose image f[A] lies in S."""
     return frozenset(A for A in classes if frozenset(f[a] for a in A) in S)
+
+
+def image_preimage_masks(f: dict, at_dom, at_cod) -> list[int]:
+    """Per image class B of ``at_cod``, the mask (bit i = class i of
+    ``at_dom``) of the classes A with f[A] = B."""
+    where = {B: c for c, B in enumerate(at_cod)}
+    masks = [0] * len(at_cod)
+    for i, A in enumerate(at_dom):
+        masks[where[frozenset(f[a] for a in A)]] |= 1 << i
+    return masks
 
 
 def image_gtop(kind: str, g, gg, largest: int, mu: dict, zeta: dict | None):

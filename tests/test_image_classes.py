@@ -7,6 +7,7 @@ it gives: the group objects on {unit, g, g2, g3} are checked without
 listing a hom-set.
 """
 
+import time
 import tracemalloc
 
 import pytest
@@ -15,11 +16,20 @@ from hypothesis import strategies as st
 
 import oracles
 from finsite.algebra import group_witness
-from finsite.errors import ResourceError
-from finsite.fincat import FinSetCategory, build_finset_category
+from finsite.continuity import localize
+from finsite.errors import ResourceError, StructuralError
+from finsite.fincat import FinFunction, FinSetCategory, build_finset_category
 from finsite.gtopgroup import is_gtop_algebraic_object
-from finsite.gtopology import build_topology, dense_topology, sieve_universe
-from finsite.sieves import _sieves_on, maximal_sieve, pullback_sieve, sieve_closure, sorted_sieves
+from finsite.gtopology import build_topology, dense_topology, discrete_topology, sieve_universe
+from finsite.sieves import (
+    _bits,
+    _ObjectSieves,
+    _sieves_on,
+    maximal_sieve,
+    pullback_sieve,
+    sieve_closure,
+    sorted_sieves,
+)
 
 KINDS = ("trivial", "discrete", "dense", "atomic")
 
@@ -36,6 +46,13 @@ def image_families(draw):
     """An empty carrier and one or two more of up to three elements."""
     carriers = draw(st.lists(st.lists(st.sampled_from(POOL), max_size=3, unique=True), min_size=1, max_size=2))
     return family([tuple(c) for c in carriers])
+
+
+@st.composite
+def carrier_families(draw):
+    """One to three carriers of up to five elements, any of them empty."""
+    sizes = draw(st.lists(st.integers(0, 5), min_size=1, max_size=3))
+    return build_finset_category({f"c{i}": tuple(range(n)) for i, n in enumerate(sizes)})
 
 
 def group_family(n):
@@ -102,6 +119,88 @@ class TestImageClassesAgainstOracles:
             assert [S.members for S in sorted_sieves(C, program)] == oracles.position_order(C, list(universe))
 
 
+class TestClassesByImageMask:
+    @given(carrier_families())
+    @example(build_finset_category({"a": (), "b": range(5), "c": range(2)}))
+    @settings(max_examples=30, deadline=None)
+    def test_classes_and_lower_sets_against_subsets(self, C):
+        for x in C.objects:
+            space, carrier = _sieves_on(C, x), C.carrier(x)
+            images = [frozenset(carrier[j] for j in _bits(A)) for A in space.keys]
+            assert images == oracles.first_images(C, x)
+            assert [set(_bits(b)) for b in space.below] == oracles.strict_subsets(images)
+            assert space.down == [b | 1 << i for i, b in enumerate(space.below)]
+
+    def test_lower_sets_of_fourteen_elements_reach_the_sieve_cap_quickly(self):
+        # 16 383 classes; comparing every pair of them took about 21 s
+        C = build_finset_category({"x": tuple(range(14))})
+        start = time.perf_counter()
+        with pytest.raises(ResourceError) as err:
+            localize(discrete_topology(C), "x")
+        assert err.value.cap_name == "sieves"
+        assert time.perf_counter() - start < 5
+
+
+class TestClassMapsAgainstOracles:
+    @given(image_families())
+    @example(family([(1, 10), ("a", "a,")]))
+    @example(family([(1, 10, "a,"), ()]))
+    @settings(max_examples=25, deadline=None)
+    def test_against_composition(self, C):
+        # the oracle composes each arrow with the first arrow of each class
+        classes = {x: oracles.factoring_classes(C, x) for x in C.objects}
+        for h in C.all_arrows():
+            d, y = C.dom(h), C.cod(h)
+            expected = oracles.preimage_masks(C, h, classes[d], classes[y])
+            assert _sieves_on(C, d).preimages(h, _sieves_on(C, y)) == expected, h
+
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_carriers_wider_than_one_chunk(self, data):
+        # class maps read 8 carrier elements at a time, and preimage masks
+        # are set 4 096 classes at a time; a has 8 191 classes in two
+        # chunks, b has 511, and the images are compared as sets
+        C = build_finset_category({"a": tuple(range(13)), "b": tuple(range(9)), "c": (0, 1, 2)})
+        images = {}
+        for x in C.objects:
+            carrier = C.carrier(x)
+            images[x] = [frozenset(carrier[j] for j in _bits(A)) for A in _sieves_on(C, x).keys]
+        for d, y in (("a", "b"), ("b", "b"), ("a", "c"), ("c", "a")):
+            targets = C.carrier(y)
+            f = {e: data.draw(st.sampled_from(targets)) for e in C.carrier(d)}
+            h = C.function(d, y, f)
+            expected = oracles.image_preimage_masks(f, images[d], images[y])
+            assert _sieves_on(C, d).preimages(h, _sieves_on(C, y)) == expected
+
+    def test_an_arrow_is_checked_as_composing_it_would(self):
+        C = family([(1, 10), ("a",)])
+        S = maximal_sieve(C, "c1")
+        with pytest.raises(StructuralError, match="'b' of .* is not in the carrier of 'c1'"):
+            pullback_sieve(C, FinFunction("c0", "c1", ("a", "b")), S)
+        with pytest.raises(StructuralError, match="does not run from 'c1' to 'c0'"):
+            _sieves_on(C, "c1").preimages(FinFunction("c1", "c1", ("a",)), _sieves_on(C, "c0"))
+
+    def test_z3_pullbacks_compose_no_arrow(self, monkeypatch):
+        C = group_family(3)
+        inside, pulled, composed = [], [], []
+        preimages, compose = _ObjectSieves.preimages, FinSetCategory.compose
+
+        def counted_preimages(self, h, at_cod):
+            inside.append(h)
+            pulled.append(h)
+            try:
+                return preimages(self, h, at_cod)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(_ObjectSieves, "preimages", counted_preimages)
+        monkeypatch.setattr(FinSetCategory, "compose", lambda self, g, f: composed.append(bool(inside)) or compose(self, g, f))
+        for kind in KINDS:
+            J, _ = build_topology(C, kind, verify=False)
+            is_gtop_algebraic_object(C, cyclic_witness(C, 3), J)
+        assert pulled and True not in composed
+
+
 class TestGroupObjectsWithoutHomSets:
     @pytest.mark.parametrize("kind", KINDS)
     def test_z2_lists_no_hom_set(self, kind):
@@ -152,7 +251,7 @@ class TestGroupObjectsWithoutHomSets:
         space = _sieves_on(C, "g2")
         assert len(space.keys) == 65535
         (dense,) = dense_topology(C).basis("g2")
-        pairs = space.sieve(sum(1 << i for i, A in enumerate(space.keys) if len(A) <= 2))  # bit i = class i
+        pairs = space.sieve(sum(1 << i for i, A in enumerate(space.keys) if A.bit_count() <= 2))  # bit i = class i
         top = maximal_sieve(C, "g2")
         tracemalloc.start()
         try:

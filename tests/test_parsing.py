@@ -114,6 +114,14 @@ class TestCategoryParsing:
         assert (d.code, d.message) == ("conflicting-compose", "id_b . f is 'f', not 'g'")
         assert d.span.line == 4
 
+    def test_a_conflicting_composite_is_marked_where_it_stands(self):
+        # the composite f also appears earlier on the line, as the f of g . f
+        text = "category m\narrow f : a -> a\narrow g : a -> a\ncompose g . f = g\ncompose g . f = f\n"
+        with pytest.raises(ParseFailure) as e:
+            parse_category_file(text, "m.cat")
+        (d,) = e.value.diagnostics
+        assert str(d) == "m.cat:5:17-17: [conflicting-compose] g . f is 'g', not 'f'"
+
     def test_spans_point_into_the_line(self):
         text = "category bad\narrow f : a -> b\ncompose zzz . f = f\n"
         with pytest.raises(ParseFailure) as e:
@@ -153,6 +161,14 @@ class TestTopologyParsing:
         assert (unknown.span.line, unknown.span.col_start, unknown.span.col_end) == (3, 19, 22)
         assert (wrong.code, wrong.message) == ("wrong-codomain", "arrow '2|6' lands in '6', not in '12'")
         assert (wrong.span.line, wrong.span.col_start, wrong.span.col_end) == (3, 25, 27)
+
+    def test_an_unknown_arrow_is_marked_where_it_stands(self, d12s):
+        # the label 1 names an object of D_12 but no arrow; the object token
+        # earlier on the line is not the one marked
+        with pytest.raises(ParseFailure) as e:
+            parse_topology_file("topology t on D_12\ncover 1 : {1}\n", d12s, "t.gtop")
+        (d,) = e.value.diagnostics
+        assert str(d) == "t.gtop:2:12-12: [unknown-arrow] unknown arrow '1'"
 
     def test_a_label_shared_by_two_arrows_names_the_later_one_in_all_arrows(self):
         from finsite.fincat import FinCategory
