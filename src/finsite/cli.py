@@ -40,6 +40,7 @@ from .fincat import (
 )
 from .gtopgroup import is_gtop_algebraic_object, is_gtop_functor_monoid
 from .gtopology import (
+    _BUILDERS,
     build_topology,
     enumerate_topologies,
     join,
@@ -91,17 +92,22 @@ def _caps(opts):
     }
 
 
+def _parse(parse, path, *args, **kwargs):
+    """``parse(text, *args, path, **kwargs)`` on the text of the file at
+    ``path``; one that is not UTF-8 is a ``StructuralError`` naming it."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise StructuralError(f"{path} is not UTF-8 text: {e}") from None
+    return parse(text, *args, path, **kwargs)
+
+
 def _load_category(opts):
-    path = opts["category"]
-    return parse_category_file(Path(path).read_text(), path)
+    return _parse(parse_category_file, opts["category"])
 
 
 def _load_topology(opts, C, caps, key="topology", verify=False):
-    path = opts[key]
-    J, report = parse_topology_file(
-        Path(path).read_text(), C, path, sieve_cap=caps["sieves"], verify=verify
-    )
-    return J, report
+    return _parse(parse_topology_file, opts[key], C, sieve_cap=caps["sieves"], verify=verify)
 
 
 def _named(labels, label, what):
@@ -151,11 +157,9 @@ def _cmd_validate(opts, caps):
 def _cmd_make_category(opts, caps):
     if opts.get("divisor") is not None:
         _refuse(opts, "cannot be combined with --divisor", "product")
-        C = build_divisor_poset(opts["divisor"])
+        C = build_divisor_poset(opts["divisor"], candidate_cap=caps["candidates"])
     elif opts.get("product") is not None:
-        a_path, b_path = opts["product"]
-        A = parse_category_file(Path(a_path).read_text(), a_path)
-        B = parse_category_file(Path(b_path).read_text(), b_path)
+        A, B = (_parse(parse_category_file, path) for path in opts["product"])
         P, _, _ = build_product_category(A, B, caps["candidates"])
         # parenthesized arrow ids avoid the reserved id_ prefix on mixed
         # pairs like (id_1, f)
@@ -269,7 +273,7 @@ def _witness_verdict(C, w, abelian=False):
 
 def _cmd_check_object(opts, caps):
     C = _load_category(opts)
-    w = parse_witness_file(Path(opts["witness"]).read_text(), C, opts["witness"])
+    w = _parse(parse_witness_file, opts["witness"], C)
     verdict, label = _witness_verdict(C, w, opts.get("abelian", False))
     if verdict.ok:
         return 0, [f"{w.carrier} is a {label}"]
@@ -278,8 +282,8 @@ def _cmd_check_object(opts, caps):
 
 def _cmd_check_hom(opts, caps):
     C = _load_category(opts)
-    w1 = parse_witness_file(Path(opts["source"]).read_text(), C, opts["source"])
-    w2 = parse_witness_file(Path(opts["target"]).read_text(), C, opts["target"])
+    w1 = _parse(parse_witness_file, opts["source"], C)
+    w2 = _parse(parse_witness_file, opts["target"], C)
     f = _named(label_index(C).arrows, opts["arrow"], "arrow")
     verdict = check_homomorphism(C, HomWitness(w1, w2, f))
     if verdict.ok:
@@ -320,7 +324,7 @@ def _cmd_check_gtop(opts, caps):
     _refuse(opts, "needs --functor-level", "unit", "product_topology")
     if "witness" not in opts:
         raise StructuralError("morphism-level check-gtop needs --witness")
-    w = parse_witness_file(Path(opts["witness"]).read_text(), C, opts["witness"])
+    w = _parse(parse_witness_file, opts["witness"], C)
     report = is_gtop_algebraic_object(C, w, J)
     lines = [
         "reading: morphism-level (continuity of the structure maps)",
@@ -394,7 +398,7 @@ def _build_parser():
         (("--product",), {"nargs": 2, "metavar": ("A", "B")}),
         out,
     )
-    p = add("make-topology", cat, (("--kind",), {"required": True, "choices": ["trivial", "discrete", "dense", "atomic"]}), out)
+    p = add("make-topology", cat, (("--kind",), {"required": True, "choices": list(_BUILDERS)}), out)
     p.add_argument("--verify", dest="verify", action="store_true", default=True)
     p.add_argument("--no-verify", dest="verify", action="store_false")
     add("check-topology", cat, top)
@@ -411,7 +415,7 @@ def _build_parser():
     p = add("check-gtop", cat, top, (("--witness",), {}))
     p.add_argument("--functor-level", dest="functor_level", action="store_true")
     p.add_argument("--unit")
-    p.add_argument("--product-topology", dest="product_topology", choices=["trivial", "discrete", "dense", "atomic"])
+    p.add_argument("--product-topology", dest="product_topology", choices=list(_BUILDERS))
     return parser
 
 

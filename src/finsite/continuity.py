@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .errors import DEFAULT_SIEVE_CAP, StructuralError
 from .gtopology import GrothendieckTopology, sieve_universe
-from .sieves import Sieve, _not_on, _pullback, sieve_closure, sorted_sieves
+from .sieves import Sieve, _not_on, _sieves_on, sieve_closure, sorted_sieves
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,8 @@ def pullback_local(C, f, L: LocalTopology) -> LocalTopology:
             f"local topology at {L.base!r} cannot be pulled back along {C.arrow_label(f)}"
         )
     _check_sieves(C, L)
-    return LocalTopology(C.dom(f), frozenset(_pullback(C, f, S) for S in L.sieves))
+    space = _sieves_on(C, C.dom(f))
+    return LocalTopology(space.x, frozenset(space.sieve(space.pulled(f, S)) for S in L.sieves))
 
 
 def _check_sieves(C, L: LocalTopology):

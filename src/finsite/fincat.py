@@ -186,10 +186,6 @@ class FinCategory:
     def arrow_label(self, a) -> str:
         return str(a)
 
-    def factoring_key(self, a) -> frozenset:
-        """The sieve a generates: a factors through b iff key(a) <= key(b)."""
-        return frozenset(self.compose(a, g) for g in self.arrows_into(self.dom(a)))
-
 
 @dataclass(frozen=True)
 class FinFunction:
@@ -461,6 +457,7 @@ def validate_category(C, seed: int = 0, spot_triples: int = 1000) -> ValidationR
             violations.append(Violation("identity-endomorphism", f"id of {x!r} is {i!r}: {C.dom(i)!r}->{C.cod(i)!r}"))
         checks += 1
     arrows = C.all_arrows()
+    out = {x: [a for a in arrows if C.dom(a) == x] for x in C.objects}  # the arrows out of each object, by label
     for f in arrows:
         for law, g, h in (
             ("right-unit", f, C.identity(C.dom(f))),
@@ -474,7 +471,7 @@ def validate_category(C, seed: int = 0, spot_triples: int = 1000) -> ValidationR
                 continue
             if got != f:
                 violations.append(Violation(law, f"{C.arrow_label(g)} . {C.arrow_label(h)} = {C.arrow_label(got)}, expected {C.arrow_label(f)}"))
-    composable = [(g, f) for f in arrows for g in arrows if C.cod(f) == C.dom(g)]
+    composable = [(g, f) for f in arrows for g in out[C.cod(f)]]
     comp = {}
     for g, f in composable:
         checks += 1
@@ -485,8 +482,8 @@ def validate_category(C, seed: int = 0, spot_triples: int = 1000) -> ValidationR
     for g, f in composable:
         if (g, f) not in comp:
             continue
-        for h in arrows:
-            if C.dom(h) != C.cod(g) or (h, g) not in comp:
+        for h in out[C.cod(g)]:
+            if (h, g) not in comp:
                 continue
             checks += 1
             left = comp.get((h, comp[(g, f)])) if (h, comp[(g, f)]) in comp else None
@@ -686,30 +683,36 @@ def pair(C, cone: ProductCone, f, g):
 # -- builders ---------------------------------------------------------
 
 
-def build_divisor_poset(N: int) -> FinCategory:
+def build_divisor_poset(N: int, candidate_cap: int = DEFAULT_CANDIDATE_CAP) -> FinCategory:
     """The divisors of N ordered by divisibility, as a thin category.
 
     Exactly one arrow ``k -> n`` for each pair k | n; products are gcds
-    and coproducts are lcms.
+    and coproducts are lcms.  Raises the candidate cap before building
+    when factoring N needs a trial divisor past it, or when the table
+    holds more entries, one per chain k | m | n: prod C(e + 3, 3) over the
+    exponents e of N's primes.
     """
     if not isinstance(N, int) or N < 1:
         raise DomainError(f"divisor poset needs a positive integer, got {N!r}")
-    small = [k for k in range(1, math.isqrt(N) + 1) if N % k == 0]
-    divs = small + [N // k for k in reversed(small) if k * k != N]
-    arrows = {}
-    for n in divs:
-        for k in divs:
-            if k != n and n % k == 0:
-                arrows[f"{k}|{n}"] = (k, n)
-    compose = {}
-    for k in divs:
-        for m in divs:
-            if m % k or k == m:
-                continue
-            for n in divs:
-                if n % m or m == n or k == n:
-                    continue
-                compose[(f"{m}|{n}", f"{k}|{m}")] = f"{k}|{n}"
+    exponents, rest, p = {}, N, 2
+    while p * p <= rest and p <= candidate_cap:
+        while rest % p == 0:
+            rest //= p
+            exponents[p] = exponents.get(p, 0) + 1
+        p += 1
+    if p * p > rest > 1:
+        exponents[rest] = 1
+    pairs = math.prod(math.comb(e + 3, 3) for e in exponents.values())
+    if p * p <= rest or pairs > candidate_cap:
+        what = f"factoring {N} needs trial divisors past" if p * p <= rest else f"D_{N} has {pairs} composable pairs, over"
+        raise ResourceError(f"{what} the candidate cap {candidate_cap}", cap_name="candidates", cap_value=candidate_cap)
+    divs = [1]
+    for p, e in exponents.items():
+        divs = [d * p**i for d in divs for i in range(e + 1)]
+    divs.sort()
+    above = {k: [n for n in divs if n % k == 0 and n != k] for k in divs}
+    arrows = {f"{k}|{n}": (k, n) for n in divs for k in divs if k != n and n % k == 0}
+    compose = {(f"{m}|{n}", f"{k}|{m}"): f"{k}|{n}" for k in divs for m in above[k] for n in above[m]}
     return FinCategory.from_data(f"D_{N}", divs, arrows, compose)
 
 

@@ -38,10 +38,8 @@ from .sieves import (
     Sieve,
     _bits,
     _not_on,
-    _pullbacks,
     _sieves_on,
     maximal_sieve,
-    pullback_sieve,
     sieve_literal,
     sorted_sieves,
 )
@@ -211,7 +209,8 @@ def _restricts(C, least, x, h) -> int:
     """The mask of the classes of L(d) that lie in the pullback of L(x)
     along the arrow h: d -> x; all of L(d) when the up-sets are stable
     along h."""
-    return least[C.dom(h)]._ideal & pullback_sieve(C, h, least[x])._ideal
+    d = C.dom(h)
+    return least[d]._ideal & _sieves_on(C, d).pulled(h, least[x])
 
 
 def _forced(C, least, x) -> int:
@@ -316,8 +315,9 @@ def check_axioms(J: GrothendieckTopology, sieve_cap: int = DEFAULT_SIEVE_CAP) ->
     held = {x: {S._ideal for S in covers[x]} for x in objs}  # the covers' masks
     for x in objs:
         for S in sorted_sieves(C, covers[x]):
-            for h, (d, pulled) in zip(into[x], _pullbacks(C, S, into[x])):
-                if pulled not in held[d]:
+            for h in into[x]:
+                d = C.dom(h)
+                if (pulled := _sieves_on(C, d).pulled(h, S)) not in held[d]:
                     detail = f"pullback {sieve_literal(C, _sieves_on(C, d).sieve(pulled))} is not a cover at {d!r}"
                     violations.append(AxiomViolation("stability", x, S, h, detail))
     for x in objs:
@@ -326,7 +326,7 @@ def check_axioms(J: GrothendieckTopology, sieve_cap: int = DEFAULT_SIEVE_CAP) ->
             if R in covers[x]:
                 continue
             for S in cov:  # the first cover along whose members R pulls back to covers
-                if all(pulled in held[d] for d, pulled in _pullbacks(C, R, S.members)):
+                if all(_sieves_on(C, d := C.dom(h)).pulled(h, R) in held[d] for h in S.members):
                     detail = f"forced by cover {sieve_literal(C, S)} but not a cover"
                     violations.append(AxiomViolation("transitivity", x, R, None, detail))
                     break

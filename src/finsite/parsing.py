@@ -86,10 +86,13 @@ class _Reader:
                 self.lines.append((i, stripped))
 
     def span(self, lineno, text, part=None, col=None):
-        """The whole line, or the token ``part`` at 0-based column ``col``."""
+        """The whole line, or the token ``part`` at 0-based column ``col``;
+        an empty one (as in ``mul=``) marks one column, the line's last at most."""
         if part is None:
             return SourceSpan(self.filename, lineno, 1, max(len(text), 1))
-        return SourceSpan(self.filename, lineno, col + 1, col + len(part))
+        width = max(len(part), 1)
+        col = min(col, len(text) - width)
+        return SourceSpan(self.filename, lineno, col + 1, col + width)
 
     def error(self, code, message, lineno, text, part=None, col=None):
         self.diagnostics.append(Diagnostic(code, message, self.span(lineno, text, part, col)))

@@ -41,7 +41,7 @@ class Sieve:
     only between sieves on one object of one category.
     """
 
-    __slots__ = ("base", "_space", "_ideal", "_members", "_hash")
+    __slots__ = ("base", "_space", "_ideal", "_members", "_hash", "_flags")
 
     def __init__(self, *args, **kwargs):
         raise StructuralError("sieves are built by sieve_closure, maximal_sieve, pullback_sieve or sieve_universe")
@@ -49,7 +49,7 @@ class Sieve:
     @classmethod
     def _of_classes(cls, space, ideal: int) -> Sieve:
         S = cls.__new__(cls)
-        S.base, S._space, S._ideal, S._members = space.x, space, ideal, None
+        S.base, S._space, S._ideal, S._members, S._flags = space.x, space, ideal, None, None
         S._hash = hash((space.x, ideal))
         return S
 
@@ -140,22 +140,8 @@ def pullback_sieve(C, h, S: Sieve) -> Sieve:
     why = _not_on(C, C.cod(h), S)
     if why:
         raise StructuralError(f"{why} cannot be pulled back along {C.arrow_label(h)}")
-    return _pullback(C, h, S)
-
-
-def _pullback(C, h, S: Sieve) -> Sieve:
-    """``pullback_sieve`` once S is known to be a sieve on cod(h)."""
-    return _sieves_on(C, C.dom(h)).pullback(h, S)
-
-
-def _pullbacks(C, S: Sieve, arrows):
-    """``(dom(h), mask of the pullback of S along h)`` for each h of
-    ``arrows``, all into the base of S, in order; this builds no sieve, for
-    passes that only test the pullbacks against sets of masks."""
-    flags = _flags(S._ideal)
-    for h in arrows:
-        d = C.dom(h)
-        yield d, sum(itertools.compress(_sieves_on(C, d).preimages(h, S._space), flags))
+    space = _sieves_on(C, C.dom(h))
+    return space.sieve(space.pulled(h, S))
 
 
 def sorted_sieves(C, sieves) -> list:
@@ -229,7 +215,7 @@ class _ObjectSieves:
 
     ``keys[i]`` is the factoring key of class i, which says which classes
     its arrows factor through: on a table the sieve an arrow generates
-    (``FinCategory.factoring_key``), on finite sets an arrow's image as an
+    (its composites a . g), on finite sets an arrow's image as an
     int mask over carrier indices.  Sieves are the down-sets of the poset
     of classes, each an int mask with bit i = class i; ``below[i]`` is the
     mask of the classes strictly under class i, and ``down[i]`` adds class
@@ -250,7 +236,6 @@ class _ObjectSieves:
         self._built: dict = {}  # down-set mask -> its sieve
         self._order_keys: dict = {}  # sieve -> its key in sorted_sieves
         self._preimages: dict = {}  # arrow h out of x -> per class c at cod(h), the mask of classes i with h . i in c
-        self._pulled: dict = {}  # (h, sieve on cod(h)) -> its pullback along h
 
     @property
     def down(self) -> list:
@@ -286,14 +271,13 @@ class _ObjectSieves:
             pre = self._preimages[h] = _fibres(self.class_map(h, at_cod), len(at_cod.keys))
         return pre
 
-    def pullback(self, h, S: Sieve) -> Sieve:
-        """The pullback along h (out of x) of the sieve S on cod(h), built
-        once per (h, S)."""
-        P = self._pulled.get((h, S))
-        if P is None:
-            pre = self.preimages(h, S._space)
-            P = self._pulled[h, S] = self.sieve(sum(itertools.compress(pre, _flags(S._ideal))))
-        return P
+    def pulled(self, h, S: Sieve) -> int:
+        """The mask of the pullback along h (out of x) of the sieve S, taken
+        to be on cod(h): the union of the preimage masks of S's classes,
+        picked by S's ``_flags``, which are computed once per sieve."""
+        if S._flags is None:
+            S._flags = _flags(S._ideal)
+        return sum(itertools.compress(self.preimages(h, S._space), S._flags))
 
     def order_key(self, ideal: int) -> tuple:
         """The key that orders the sieve made of ``ideal`` as
@@ -344,9 +328,10 @@ class _TableClasses(_ObjectSieves):
     their order in ``C.arrows_into(x)``."""
 
     def __init__(self, C, x):
-        by_key: dict = {}
-        for a in C.arrows_into(x):
-            by_key.setdefault(C.factoring_key(a), []).append(a)
+        # a factors through b iff key(a) <= key(b)
+        compose, into, by_key = C.compose, C.arrows_into, {}
+        for a in into(x):
+            by_key.setdefault(frozenset(compose(a, g) for g in into(C.dom(a))), []).append(a)
         super().__init__(C, x, list(by_key))
         self.classes = [frozenset(arrows) for arrows in by_key.values()]  # their unions reuse stored hashes
         self._reps = [arrows[0] for arrows in by_key.values()]

@@ -167,6 +167,52 @@ def associativity(objects, arrows, obj, arr):
     return True, None
 
 
+def table_laws(C) -> tuple[list, int]:
+    """``(violations, checks)`` for the unit, totality and associativity
+    laws of a table category, each violation a ``(law, detail)`` pair, by
+    scanning every pair of arrows for the composable ones and every third
+    arrow for each composable pair; a composite is missing when its pair
+    is not among ``C.composable_pairs()``."""
+    violations, checks = [], 0
+    label, table = C.arrow_label, set(C.composable_pairs())
+    for x in C.objects:
+        i = C.identity(x)
+        if C.dom(i) != x or C.cod(i) != x:
+            violations.append(("identity-endomorphism", f"id of {x!r} is {i!r}: {C.dom(i)!r}->{C.cod(i)!r}"))
+        checks += 1
+    arrows = C.all_arrows()
+    for f in arrows:
+        for law, g, h in (("right-unit", f, C.identity(C.dom(f))), ("left-unit", C.identity(C.cod(f)), f)):
+            checks += 1
+            if (g, h) not in table:
+                violations.append(("totality", f"no composite for ({label(g)} . {label(h)})"))
+                continue
+            got = C.compose(g, h)
+            if got != f:
+                violations.append((law, f"{label(g)} . {label(h)} = {label(got)}, expected {label(f)}"))
+    composable = [(g, f) for f in arrows for g in arrows if C.cod(f) == C.dom(g)]
+    comp = {}
+    for g, f in composable:
+        checks += 1
+        if (g, f) in table:
+            comp[(g, f)] = C.compose(g, f)
+        else:
+            violations.append(("totality", f"no composite for ({label(g)} . {label(f)})"))
+    for g, f in composable:
+        if (g, f) not in comp:
+            continue
+        for h in arrows:
+            if C.dom(h) != C.cod(g) or (h, g) not in comp:
+                continue
+            checks += 1
+            left, right = comp.get((h, comp[(g, f)])), comp.get((comp[(h, g)], f))
+            if left is not None and right is not None and left != right:
+                violations.append(
+                    ("associativity", f"h.(g.f) != (h.g).f for h={label(h)}, g={label(g)}, f={label(f)}")
+                )
+    return violations, checks
+
+
 def up_set(C, x, least) -> set[frozenset]:
     """The sieves on x that contain ``least``."""
     return {S for S in sieves_on(C, x) if least <= S}

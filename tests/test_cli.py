@@ -1,3 +1,4 @@
+import time
 from pathlib import Path
 
 import pytest
@@ -259,6 +260,72 @@ class TestVerbs:
         )
         assert code == 2
         assert "closed upward" in report and "contains the cover {1|12} but is not a cover" in report
+
+
+def _not_utf8(tmp_path, name):
+    path = tmp_path / name
+    path.write_bytes(b"category x\nobject \xff\n")
+    return str(path)
+
+
+class TestUndecodableInput:
+    """An input file that is not UTF-8 is an error naming it (exit 2), not
+    a traceback (exit 1), whichever flag names it."""
+
+    @pytest.mark.parametrize(
+        "verb, flag, options",
+        [
+            ("validate", "category", {}),
+            ("check-topology", "topology", {"category": "d12.cat"}),
+            ("meet", "topology2", {"category": "d12.cat", "topology": "dense12.gtop"}),
+            ("check-object", "witness", {"category": "d12.cat"}),
+            ("check-hom", "source", {"category": "d12.cat", "target": "top12.wit", "arrow": "id_12"}),
+            ("check-hom", "target", {"category": "d12.cat", "source": "top12.wit", "arrow": "id_12"}),
+            ("check-gtop", "witness", {"category": "d12.cat", "topology": "dense12.gtop"}),
+        ],
+    )
+    def test_each_input_flag(self, tmp_path, verb, flag, options):
+        bad = _not_utf8(tmp_path, "bad.txt")
+        code, report = run(verb, **{k: str(FIXTURES / v) for k, v in options.items()}, **{flag: bad})
+        assert code == 2
+        assert report.startswith(f"error: {bad} is not UTF-8 text: ")
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_each_product_file(self, tmp_path, arrow_file, which):
+        bad = _not_utf8(tmp_path, "bad.cat")
+        files = [arrow_file, arrow_file]
+        files[which] = bad
+        code, report = run("make-category", product=files)
+        assert code == 2
+        assert report.startswith(f"error: {bad} is not UTF-8 text: ")
+
+    def test_through_main(self, tmp_path, capsys):
+        bad = _not_utf8(tmp_path, "bad.cat")
+        assert main(["validate", "--category", bad]) == 2
+        assert capsys.readouterr().out.startswith(f"error: {bad} is not UTF-8 text: ")
+
+
+class TestDivisorCap:
+    def test_a_huge_divisor_poset_stops_at_the_candidate_cap(self):
+        start = time.perf_counter()
+        code, report = run("make-category", divisor=10**18)
+        assert code == 2
+        assert report == "resource error: D_1000000000000000000 has 1768900 composable pairs, over the candidate cap 1000000"
+        assert time.perf_counter() - start < 1
+
+    def test_a_large_prime_stops_at_the_candidate_cap(self):
+        start = time.perf_counter()
+        code, report = run("make-category", divisor=10**18 + 9)
+        assert code == 2
+        assert "trial divisors past the candidate cap 1000000" in report
+        assert time.perf_counter() - start < 1
+
+    def test_the_cap_flag_reaches_the_builder(self, tmp_path):
+        # D_720 has 1 400 composable pairs
+        out = tmp_path / "d720.cat"
+        assert run("make-category", divisor=720, cap_candidates=1400, output=str(out))[0] == 0
+        code, report = run("make-category", divisor=720, cap_candidates=1399)
+        assert (code, report) == (2, "resource error: D_720 has 1400 composable pairs, over the candidate cap 1399")
 
 
 class TestIgnoredFlags:

@@ -23,7 +23,7 @@ from finsite.fincat import (
     validate_category,
     validate_functor,
 )
-from oracles import divisors, gcd
+from oracles import divisors, gcd, table_laws
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +45,34 @@ def zmod2():
     gg = tuple((a, b) for a in g for b in g)
     ggg = tuple((p, c) for p in gg for c in g)
     return build_finset_category({"unit": ((),), "g": g, "g2": gg, "g3": ggg}, name="zmod2")
+
+
+@st.composite
+def tables(draw):
+    """A table category on 1-3 objects with up to 4 more arrows whose
+    composition table has entries dropped or replaced by other arrows of
+    the right type, so laws can fail and composites can be missing."""
+    objects = list(range(draw(st.integers(1, 3))))
+    ends = st.tuples(st.sampled_from(objects), st.sampled_from(objects))
+    arrows = {f"a{i}": e for i, e in enumerate(draw(st.lists(ends, max_size=4)))}
+    C = FinCategory.from_data("random", objects, arrows)
+    table = {}
+    for g in C.all_arrows():
+        for f in C.all_arrows():
+            if C.cod(f) != C.dom(g):
+                continue
+            typed = [h for h in C.all_arrows() if (C.dom(h), C.cod(h)) == (C.dom(f), C.cod(g))]
+            choice = draw(st.sampled_from([None, *typed]))
+            if choice is not None:
+                table[(g, f)] = C._table.get((g, f), choice) if draw(st.booleans()) else choice
+    return FinCategory("random", C.objects, C._arrows, C._identity, table)
+
+
+def assert_laws_match_the_oracle(C):
+    report = validate_category(C)
+    violations, checks = table_laws(C)
+    assert [(v.law, v.detail) for v in report.violations] == violations
+    assert report.checks == checks and report.ok == (not violations)
 
 
 class TestValidateCategory:
@@ -79,6 +107,15 @@ class TestValidateCategory:
         report = validate_category(broken)
         assert not report.ok
         assert any(v.law == "right-unit" for v in report.violations)
+
+    @given(tables())
+    @settings(max_examples=150, deadline=None)
+    def test_the_arrows_out_index_agrees_with_scanning_every_pair(self, C):
+        assert_laws_match_the_oracle(C)
+
+    @pytest.mark.parametrize("n", [12, 60, 360])
+    def test_divisor_posets_agree_with_scanning_every_pair(self, n):
+        assert_laws_match_the_oracle(build_divisor_poset(n))
 
     def test_finset_spot_check_reports_seed(self, zmod2):
         report = validate_category(zmod2, seed=7, spot_triples=200)

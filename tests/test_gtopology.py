@@ -31,6 +31,7 @@ from finsite.gtopology import (
     topology_leq,
     trivial_topology,
 )
+from finsite.parsing import parse_category_file, parse_topology_file
 from finsite.sieves import _ObjectSieves, is_sieve, maximal_sieve, pullback_sieve, sieve_closure, sorted_sieves
 
 import oracles
@@ -692,8 +693,8 @@ class TestLeastCoverCounts:
     @pytest.fixture
     def pullbacks(self, monkeypatch):
         calls = []
-        original = _ObjectSieves.pullback
-        monkeypatch.setattr(_ObjectSieves, "pullback", lambda self, h, S: calls.append(h) or original(self, h, S))
+        original = _ObjectSieves.pulled
+        monkeypatch.setattr(_ObjectSieves, "pulled", lambda self, h, S: calls.append(h) or original(self, h, S))
         return calls
 
     @pytest.mark.parametrize("kind", sorted(BUILDER_ORACLES))
@@ -725,6 +726,19 @@ class TestLeastCoverCounts:
         with pytest.raises(ResourceError, match=r"hom\('g3', 'g3'\) has 16777216 arrows, over the hom cap 100000"):
             build_topology(C, "trivial")
         assert pullbacks == []
+
+    def test_a_failing_topology_pulls_every_cover_back_through_one_method(self, monkeypatch):
+        # the stability pass pulls each cover back along each arrow into its
+        # object, and the transitivity pass pulls sieves back along members
+        C = parse_category_file((FIXTURES / "d12.cat").read_text())
+        J, _ = parse_topology_file((FIXTURES / "broken12.gtop").read_text(), C, verify=False)
+        calls = []
+        original = _ObjectSieves.pulled
+        monkeypatch.setattr(_ObjectSieves, "pulled", lambda self, h, S: calls.append((h, S)) or original(self, h, S))
+        assert not check_axioms(J).ok
+        stability = {(h, S) for x in C.objects for S in J.covers(x) for h in C.arrows_into(x)}
+        assert len(calls) >= sum(len(J.covers(x)) * len(C.arrows_into(x)) for x in C.objects) == len(stability)
+        assert stability <= set(calls)
 
     def test_joining_dense_and_atomic_on_d360(self, pullbacks, monkeypatch):
         C = build_divisor_poset(360)

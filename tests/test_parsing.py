@@ -289,3 +289,81 @@ class TestRoundTrips:
         C2 = parse_category_file(text)
         assert validate_category(C2).ok
         assert serialize_category(C2) == text
+
+
+# -- fuzzing: mutated fixtures give a value or a ParseFailure with spans ----
+
+_PIECES = st.one_of(
+    st.sampled_from(["{", "}", ",", ":", ".", "=", "->", "|", "#", "\n", " ", "\t", "id_", "1|2", "12", "x", "*"]),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def mutated(draw, text):
+    """``text`` after up to four random edits: a slice deleted, a piece
+    inserted, or one slice copied over another place."""
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 12)))
+        edit = draw(st.sampled_from(["delete", "insert", "copy"]))
+        if edit == "delete":
+            text = text[:i] + text[j:]
+        elif edit == "insert":
+            text = text[:i] + draw(_PIECES) + text[i:]
+        else:
+            k = draw(st.integers(0, len(text)))
+            text = text[:k] + text[i:j] + text[k:]
+    return text
+
+
+def assert_parses_or_fails_inside(parse, text):
+    """``parse(text)`` returns, or raises a ParseFailure whose every span
+    lies on a line of the text (line 1 of an empty one), inside it."""
+    try:
+        parse(text)
+    except ParseFailure as e:
+        assert e.diagnostics
+        lines = text.splitlines() or [""]
+        for d in e.diagnostics:
+            span = d.span
+            assert 1 <= span.line <= len(lines), (d, text)
+            assert 1 <= span.col_start <= span.col_end <= max(len(lines[span.line - 1]), 1), (d, text)
+
+
+class TestFuzzedParsers:
+    @pytest.mark.parametrize("fixture", ["d12.cat", "cospan.cat", "arrow.cat"])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_category_files(self, fixture, data):
+        text = data.draw(mutated(read(fixture)))
+        assert_parses_or_fails_inside(lambda t: parse_category_file(t, fixture), text)
+
+    @pytest.mark.parametrize("fixture", ["broken12.gtop", "dense12.gtop", "j3-d12.gtop"])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_topology_files(self, d12s, fixture, data):
+        text = data.draw(mutated(read(fixture)))
+        assert_parses_or_fails_inside(lambda t: parse_topology_file(t, d12s, fixture), text)
+
+    @given(data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_witness_files(self, d12s, data):
+        text = data.draw(mutated(read("top12.wit")))
+        assert_parses_or_fails_inside(lambda t: parse_witness_file(t, d12s, "top12.wit"), text)
+
+
+@pytest.mark.parametrize(
+    "line, message, where",
+    [
+        ("group 12 mul=id_12 unit=id_12 =inv=id_12", "unknown option ''", "="),
+        ("group 12 unit=id_12 inv=id_12 mul=", "unknown arrow '' for mul", "="),  # at the line's end
+        ("group 12 mul=id_12 unit=id_12 inv=id_12 product=12:id_12:", "unknown projection ''", ":"),
+    ],
+)
+def test_an_empty_token_is_marked_on_one_column_of_its_line(d12s, line, message, where):
+    with pytest.raises(ParseFailure) as e:
+        parse_witness_file(line + "\n", d12s, "w.wit")
+    (d,) = [d for d in e.value.diagnostics if d.message == message]
+    assert d.span.col_start == d.span.col_end
+    assert line[d.span.col_start - 1] == where
