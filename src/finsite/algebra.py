@@ -40,33 +40,8 @@ class MonoidObjectWitness:
 
 
 @dataclass(frozen=True)
-class GroupObjectWitness:
-    monoid: MonoidObjectWitness
+class GroupObjectWitness(MonoidObjectWitness):
     zeta: object
-
-    @property
-    def carrier(self):
-        return self.monoid.carrier
-
-    @property
-    def mu(self):
-        return self.monoid.mu
-
-    @property
-    def eta(self):
-        return self.monoid.eta
-
-    @property
-    def terminal(self):
-        return self.monoid.terminal
-
-    @property
-    def cone_gg(self):
-        return self.monoid.cone_gg
-
-    @property
-    def cone_ggg(self):
-        return self.monoid.cone_ggg
 
 
 @dataclass(frozen=True)
@@ -151,7 +126,7 @@ def group_witness(C, G, mu=None, eta=None, zeta=None, **kwargs) -> GroupObjectWi
         zeta = _pick_unique(C, G, G, "zeta")
     if C.dom(zeta) != G or C.cod(zeta) != G:
         raise StructuralError(f"zeta must be an endomorphism of {G!r}")
-    return GroupObjectWitness(m, zeta)
+    return GroupObjectWitness(**vars(m), zeta=zeta)
 
 
 def _one_times_mu(C, w: MonoidObjectWitness):
@@ -209,13 +184,13 @@ def delta_arrow(C, w: MonoidObjectWitness):
 
 def check_group_object(C, w: GroupObjectWitness) -> AlgebraVerdict:
     """Monoid laws plus the inverse square mu.(1 x zeta).delta = eta.!"""
-    base = check_monoid_object(C, w.monoid)
+    base = check_monoid_object(C, w)
     if not base.ok:
         return base
     G = w.carrier
     if C.dom(w.zeta) != G or C.cod(w.zeta) != G:
         raise StructuralError("zeta is not an endomorphism of the carrier")
-    delta = delta_arrow(C, w.monoid)
+    delta = delta_arrow(C, w)
     one_x_zeta = pair(C, w.cone_gg, w.cone_gg.p1, C.compose(w.zeta, w.cone_gg.p2))
     lhs = C.compose(w.mu, C.compose(one_x_zeta, delta))
     rhs = C.compose(w.eta, bang(C, G, w.terminal))
@@ -237,7 +212,7 @@ def check_abelian_group_object(C, w: GroupObjectWitness) -> AlgebraVerdict:
     base = check_group_object(C, w)
     if not base.ok:
         return base
-    tau = twist_arrow(C, w.monoid)
+    tau = twist_arrow(C, w)
     gg = w.cone_gg
     if C.compose(gg.p1, tau) != gg.p2 or C.compose(gg.p2, tau) != gg.p1:
         return AlgebraVerdict(False, "twist-projections", "tau does not swap the projections")
@@ -322,7 +297,7 @@ def find_algebraic_objects(
                             found.append(w)
                             continue
                         for zeta in C.hom(G, G):
-                            gw = GroupObjectWitness(w, zeta)
+                            gw = GroupObjectWitness(G, mu, eta, T, cone_gg, cone_ggg, zeta)
                             if check_group_object(C, gw).ok:
                                 found.append(gw)
     return tuple(found)

@@ -45,7 +45,6 @@ from .gtopology import (
     enumerate_topologies,
     join,
     meet,
-    unclosed_cover,
 )
 from .parsing import (
     ParseFailure,
@@ -273,7 +272,7 @@ def _witness_verdict(C, w, abelian=False):
 
 def _cmd_check_object(opts, caps):
     C = _load_category(opts)
-    w = _parse(parse_witness_file, opts["witness"], C)
+    w = _parse(parse_witness_file, opts["witness"], C, candidate_cap=caps["candidates"])
     verdict, label = _witness_verdict(C, w, opts.get("abelian", False))
     if verdict.ok:
         return 0, [f"{w.carrier} is a {label}"]
@@ -282,8 +281,7 @@ def _cmd_check_object(opts, caps):
 
 def _cmd_check_hom(opts, caps):
     C = _load_category(opts)
-    w1 = _parse(parse_witness_file, opts["source"], C)
-    w2 = _parse(parse_witness_file, opts["target"], C)
+    w1, w2 = (_parse(parse_witness_file, opts[k], C, candidate_cap=caps["candidates"]) for k in ("source", "target"))
     f = _named(label_index(C).arrows, opts["arrow"], "arrow")
     verdict = check_homomorphism(C, HomWitness(w1, w2, f))
     if verdict.ok:
@@ -300,13 +298,6 @@ def _cmd_check_gtop(opts, caps):
         if unit_tok is None:
             raise StructuralError("--functor-level needs --unit")
         unit = _named(label_index(C).objects, unit_tok, "unit object")
-        gap = unclosed_cover(J)
-        if gap is not None:
-            x, S, R = gap
-            raise StructuralError(
-                f"--functor-level needs cover sets closed upward: at {x!r}, "
-                f"{sieve_literal(C, R)} contains the cover {sieve_literal(C, S)} but is not a cover"
-            )
         P, _, _ = build_product_category(C, C, caps["candidates"])
         mul = build_lcm_functor(P, C)
         Jp, _ = build_topology(P, opts.get("product_topology", "trivial"), sieve_cap=caps["sieves"], verify=False)
@@ -324,7 +315,7 @@ def _cmd_check_gtop(opts, caps):
     _refuse(opts, "needs --functor-level", "unit", "product_topology")
     if "witness" not in opts:
         raise StructuralError("morphism-level check-gtop needs --witness")
-    w = _parse(parse_witness_file, opts["witness"], C)
+    w = _parse(parse_witness_file, opts["witness"], C, candidate_cap=caps["candidates"])
     report = is_gtop_algebraic_object(C, w, J)
     lines = [
         "reading: morphism-level (continuity of the structure maps)",

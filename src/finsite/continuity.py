@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DEFAULT_SIEVE_CAP, StructuralError
-from .gtopology import GrothendieckTopology, sieve_universe
-from .sieves import Sieve, _not_on, _sieves_on, sieve_closure, sorted_sieves
+from .gtopology import GrothendieckTopology, sieve_universe, unclosed_cover
+from .sieves import Sieve, _not_on, _sieves_on, sieve_closure, sieve_literal, sorted_sieves
 
 
 @dataclass(frozen=True)
@@ -131,14 +131,22 @@ def is_cover_preserving(
 
     Quantifies over ``Jdom.basis``: the whole cover set of an explicit
     topology, the minimal covers of one built from them.  Every cover
-    contains a basis sieve and sieve generation is monotone, so when the
-    cover sets of ``Jcod`` are closed upward the basis check is equivalent
-    to the full one.  On failure returns the object and the first
+    contains a basis sieve and sieve generation is monotone, so the basis
+    check is equivalent to the full one when the cover sets of ``Jcod`` are
+    closed upward; a ``Jcod`` whose cover sets are not is refused with a
+    ``StructuralError``.  On failure returns the object and the first
     offending basis sieve.
     """
     C, D = F.dom, F.cod
     if Jdom.category is not C or Jcod.category is not D:
         raise StructuralError("topologies do not match the functor's categories")
+    gap = unclosed_cover(Jcod)
+    if gap is not None:
+        x, S, R = gap
+        raise StructuralError(
+            f"cover preservation needs the codomain's cover sets closed upward: at {x!r}, "
+            f"{sieve_literal(D, R)} contains the cover {sieve_literal(D, S)} but is not a cover"
+        )
     for d in sorted(C.objects, key=str):
         for S in Jdom.basis(d):
             image = sieve_closure(D, F.obj(d), tuple({F.arr(g) for g in S.members}))

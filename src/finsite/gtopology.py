@@ -14,12 +14,13 @@ them never need a full sieve universe.
 On a finite category the covers of a topology at x are exactly the
 sieves that contain their intersection L(x), the least cover (Mac Lane
 and Moerdijk, *Sheaves in Geometry and Logic*, III.2).  So a topology is
-verified, and generated, one least cover per object, with one pullback
-per arrow and no sieve universe; only a failing verdict runs the
+generated one least cover per object, with one pullback per arrow and no
+sieve universe (``_closed``), and it is valid iff generating from its
+least covers changes none of them; only a failing verdict runs the
 stability and transitivity passes over every cover, to report each
 violation.  A sieve's classes are the int mask kept by
-``finsite.sieves`` (bit i = class i), so the conditions below are
-``&``, ``|`` and ``a & ~b == 0`` on masks.
+``finsite.sieves`` (bit i = class i), so the conditions in this module
+are ``&``, ``|`` and ``a & ~b == 0`` on masks.
 """
 
 from __future__ import annotations
@@ -154,24 +155,32 @@ def topology_leq(J1: GrothendieckTopology, J2: GrothendieckTopology) -> bool:
 def unclosed_cover(J: GrothendieckTopology):
     """``(x, S, R)`` for the first cover S at x that grows by one factoring
     class into a sieve R that is not a cover, or None when every cover set
-    of J is closed upward.  One class at a time reaches every larger sieve,
-    so this one pass decides upward closure."""
+    of J is closed upward, as those of minimal covers are."""
+    if J._minimal_covers is not None:
+        return None
     C = J.category
     for x in sorted(C.objects, key=str):
-        sieves, cov = _sieves_on(C, x), J.covers(x)
-        for S in sorted_sieves(C, cov):
-            for R in _one_class_up(sieves, S):
-                if R not in cov:
-                    return x, S, R
+        cov = J.covers(x)
+        gap = _first_gap(_sieves_on(C, x), sorted_sieves(C, cov), cov)
+        if gap is not None:
+            return (x, *gap)
     return None
 
 
-def _one_class_up(sieves, S):
-    """The sieves that hold the classes of S and one class more."""
-    ideal = S._ideal
-    for i, b in enumerate(sieves.below):
-        if not ideal >> i & 1 and not b & ~ideal:
-            yield sieves.sieve(ideal | 1 << i)
+def _first_gap(sieves, order, covers):
+    """``(S, R)`` for the first sieve S of ``order`` that grows by one
+    factoring class into a sieve R not in ``covers``, or None.  One class
+    at a time reaches every larger sieve, so when ``order`` lists the
+    sieves of ``covers``, None means that ``covers`` is closed upward."""
+    down = sieves.down
+    for S in order:
+        ideal, out = S._ideal, ~S._ideal
+        for i, d in enumerate(down):
+            if d & out == 1 << i:  # class i is not in S, and every class under it is
+                R = sieves.sieve(ideal | 1 << i)
+                if R not in covers:
+                    return S, R
+    return None
 
 
 # -- least covers ------------------------------------------------------
@@ -199,7 +208,7 @@ def _least_covers(J):
         L = sieves.sieve(ideal)
         if L not in stored:
             return None
-        if J._minimal_covers is None and not all(R in stored for S in stored for R in _one_class_up(sieves, S)):
+        if J._minimal_covers is None and _first_gap(sieves, stored, stored):
             return None
         least[x] = L
     return least
@@ -217,7 +226,7 @@ def _forced(C, least, x) -> int:
     """The mask of the sieve M(x) generated by rep(c).rep(c') for every
     class c of L(x) and c' of L(dom rep(c)).
 
-    These classes are already a down-set: an arrow below rep(c).rep(c')
+    These classes are already a down-set: an arrow under rep(c).rep(c')
     is rep(c).g with g in L(dom rep(c)), so it is in the class of
     rep(c).rep(c'') for the class c'' of g.  When the up-sets of ``least``
     are stable, M(x) is the least sieve forced by L(x): h.g lies in it for
@@ -236,23 +245,36 @@ def _forced(C, least, x) -> int:
     return out
 
 
-def _is_topology(J) -> bool:
-    """Whether J satisfies every axiom, decided from its least covers.
+def _closed(C, least) -> dict:
+    """The greatest least covers under ``least`` (one sieve L(x) per
+    object) whose up-sets are stable and transitive: ``least`` itself iff
+    its up-sets form a topology.
 
-    Its cover sets are the up-sets of their intersections L (see
-    ``_least_covers``).  They are stable iff L(d) lies in the pullback of
-    L(x) along every arrow h: d -> x, one pullback per arrow.  Once they
-    are, they are transitive iff L(x) lies in the sieve M(x) that L(x)
-    forces (see ``_forced``), which needs no pullback.
+    They are stable iff L(d) lies in the pullback of L(x) along every arrow
+    h: d -> x, and then transitive iff L(x) lies in the sieve M(x) that it
+    forces (see ``_forced``).  Each step keeps every topology whose least
+    covers lie under ``least``: L(d) shrinks to its part in the pullback of
+    L(x) along each h, redone only along the arrows into an object whose
+    L(x) shrank, until nothing shrinks; then each L(x) shrinks to its part
+    in M(x), and both steps repeat until neither shrinks anything.
     """
-    C = J.category
-    into = {x: C.arrows_into(x) for x in C.objects}  # a hom cap is hit before any pullback
-    least = _least_covers(J)
-    return (
-        least is not None
-        and all(_restricts(C, least, x, h) == least[C.dom(h)]._ideal for x in C.objects for h in into[x])
-        and not any(least[x]._ideal & ~_forced(C, least, x) for x in C.objects)
-    )
+    least = dict(least)
+    pending = dict.fromkeys(C.objects)  # objects whose L shrank: pull it back along the arrows in
+    while pending:
+        while pending:
+            x, _ = pending.popitem()
+            for h in C.arrows_into(x):
+                d = C.dom(h)
+                kept = _restricts(C, least, x, h)
+                if kept != least[d]._ideal:
+                    least[d] = _sieves_on(C, d).sieve(kept)
+                    pending[d] = None
+        for x in C.objects:
+            M = _forced(C, least, x)
+            if least[x]._ideal & ~M:
+                least[x] = _sieves_on(C, x).sieve(least[x]._ideal & M)
+                pending[x] = None
+    return least
 
 
 # -- axiom checking ----------------------------------------------------
@@ -286,19 +308,23 @@ class AxiomReport:
 def check_axioms(J: GrothendieckTopology, sieve_cap: int = DEFAULT_SIEVE_CAP) -> AxiomReport:
     """Verify maximality, stability and transitivity, exhaustively.
 
-    A topology passes on its least covers (``_is_topology``), so verifying
-    one lists no sieve universe and needs no cap.  Anything else, and any
-    input on which that decision hits a cap, runs the passes over every
-    cover, which report each violation.  Their transitivity pass
-    quantifies the forced sieve over the full universe at each object, so
-    the per-object sieve cap applies to a failing topology.
+    A topology passes on its least covers: ``_least_covers`` finds them
+    and ``_closed`` keeps them all, so verifying one lists no sieve
+    universe and needs no cap.  Anything else, and any input on which that
+    decision hits a cap, runs the passes over every cover, which report
+    each violation.  Their transitivity pass quantifies the forced sieve
+    over the full universe at each object, so the per-object sieve cap
+    applies to a failing topology.
     """
+    C = J.category
     try:
-        if _is_topology(J):
+        for x in C.objects:
+            C.arrows_into(x)  # a hom cap is hit before any pullback
+        least = _least_covers(J)
+        if least is not None and _closed(C, least) == least:
             return AxiomReport(True, ())
     except FinsiteError:
-        pass  # the passes below decide on their own, and raise what they hit
-    C = J.category
+        pass  # the passes that follow decide on their own, and raise what they hit
     objs = sorted(C.objects, key=str)
     violations = []
     covers = {x: J.covers(x) for x in C.objects}
@@ -424,12 +450,12 @@ def enumerate_topologies(
     candidate_cap: int = DEFAULT_CANDIDATE_CAP,
 ):
     """All Grothendieck topologies on a small category, each in basis form:
-    its least cover at each object (see ``_is_topology``).
+    its least cover at each object (see ``_closed``).
 
     Searches one least cover L(x) per object from the sieve universe at x,
     taking objects by their number of factoring classes (a linear
     extension on posets), then by ``str``.  A pick is kept only while the
-    two conditions of ``_is_topology`` hold on what is picked: stability
+    two conditions of ``_closed`` hold on what is picked: stability
     along every arrow whose two ends are picked, checked once the later
     end is, and L(y) inside the sieve it forces for every y whose forced
     sieve reads only picked objects, that is once y and the domain of
@@ -503,14 +529,9 @@ def generate_topology(C, seed: Mapping, sieve_cap: int = DEFAULT_SIEVE_CAP) -> G
     its least cover at each object; ``sieve_cap`` bounds the cover sets
     when they are listed.
 
-    Its least covers are the greatest ones under the intersection L of the
-    seed and maximal sieves that are stable and transitive (see
-    ``_is_topology``).  Each step keeps every topology that holds the seed
-    under L: L(d) shrinks to its part in the pullback of L(x) along each
-    arrow h: d -> x, redone only along the arrows into an object whose
-    L(x) shrank, until nothing shrinks; then each L(x) shrinks to its part
-    in the sieve it forces, and both steps repeat until neither shrinks
-    anything.
+    Its least covers are the greatest ones under the intersection of the
+    seed and maximal sieves at each object whose up-sets are stable and
+    transitive (see ``_closed``).
     """
     least = {x: maximal_sieve(C, x) for x in C.objects}
     for x, sieves in seed.items():
@@ -521,21 +542,7 @@ def generate_topology(C, seed: Mapping, sieve_cap: int = DEFAULT_SIEVE_CAP) -> G
             if why:
                 raise StructuralError(f"seed {why} filed under {x!r}")
             least[x] = _sieves_on(C, x).sieve(least[x]._ideal & S._ideal)
-    pending = dict.fromkeys(C.objects)  # objects whose L shrank: pull it back along the arrows in
-    while pending:
-        while pending:
-            x, _ = pending.popitem()
-            for h in C.arrows_into(x):
-                d = C.dom(h)
-                kept = _restricts(C, least, x, h)
-                if kept != least[d]._ideal:
-                    least[d] = _sieves_on(C, d).sieve(kept)
-                    pending[d] = None
-        for x in C.objects:
-            M = _forced(C, least, x)
-            if least[x]._ideal & ~M:
-                least[x] = _sieves_on(C, x).sieve(least[x]._ideal & M)
-                pending[x] = None
+    least = _closed(C, least)
     return GrothendieckTopology(C, name="generated", basis=lambda x: (least[x],), sieve_cap=sieve_cap)
 
 

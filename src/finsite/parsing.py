@@ -36,7 +36,7 @@ import re
 from dataclasses import dataclass
 
 from .algebra import GroupObjectWitness, group_witness, monoid_witness
-from .errors import DEFAULT_SIEVE_CAP, FinsiteError
+from .errors import DEFAULT_CANDIDATE_CAP, DEFAULT_SIEVE_CAP, FinsiteError
 from .fincat import FinCategory, ProductCone
 from .gtopology import GrothendieckTopology, check_axioms
 from .sieves import Sieve, _sieves_on, maximal_sieve
@@ -385,7 +385,7 @@ def _parse_cone(tok, col, labels, r, lineno, line):
     return labels.objects[parts[0]], labels.arrows[parts[1]], labels.arrows[parts[2]]
 
 
-def parse_witness_file(text: str, C, filename: str = "<string>"):
+def parse_witness_file(text: str, C, filename: str = "<string>", candidate_cap: int = DEFAULT_CANDIDATE_CAP):
     r = _Reader(text, filename)
     decls = [(ln, l) for ln, l in r.lines]
     if len(decls) != 1:
@@ -447,8 +447,8 @@ def parse_witness_file(text: str, C, filename: str = "<string>"):
     r.fail_if_errors()
     try:
         if kind == "monoid":
-            return monoid_witness(C, G, mu=mu, eta=eta, cone_gg=cone_gg, cone_ggg=cone_ggg)
-        return group_witness(C, G, mu=mu, eta=eta, zeta=zeta, cone_gg=cone_gg, cone_ggg=cone_ggg)
+            return monoid_witness(C, G, mu=mu, eta=eta, cone_gg=cone_gg, cone_ggg=cone_ggg, candidate_cap=candidate_cap)
+        return group_witness(C, G, mu=mu, eta=eta, zeta=zeta, cone_gg=cone_gg, cone_ggg=cone_ggg, candidate_cap=candidate_cap)
     except FinsiteError as e:
         raise ParseFailure([Diagnostic("structural", str(e), r.span(lineno, line))]) from e
 

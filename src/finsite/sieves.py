@@ -6,7 +6,7 @@ are exactly the down-sets of the divisors of n.
 
 Arrows into X are preordered by factoring, and a sieve is a union of
 factoring classes (arrows that factor through each other) that holds
-every class below one of its own: a down-set of classes.  A ``Sieve`` is
+every class under one of its own: a down-set of classes.  A ``Sieve`` is
 its base and that down-set, built once per down-set by the
 ``_ObjectSieves`` of its base, so equal sieves are one object.  A
 down-set of classes is an int mask, bit i = class i: inclusion is
@@ -109,7 +109,7 @@ def sieve_closure(C, x, generators: Iterable) -> Sieve:
 
 def is_sieve(C, x, members: Iterable) -> bool:
     """Whether a set of arrows is a sieve on x: a union of factoring
-    classes that holds every class below one of them.  A ``Sieve`` is one
+    classes that holds every class under one of them.  A ``Sieve`` is one
     iff it is a sieve on x of C."""
     if isinstance(members, Sieve):
         return _not_on(C, x, members) is None
@@ -122,8 +122,8 @@ def is_sieve(C, x, members: Iterable) -> bool:
     if None in classes:
         return False
     ideal = _mask(classes)
-    below = sieves.below
-    return sieves.size(ideal) == len(arrows) and not any(below[i] & ~ideal for i in classes)
+    down = sieves.down
+    return sieves.size(ideal) == len(arrows) and not any(down[i] & ~ideal for i in classes)
 
 
 def _not_on(C, x, S: Sieve):
@@ -217,10 +217,10 @@ class _ObjectSieves:
     its arrows factor through: on a table the sieve an arrow generates
     (its composites a . g), on finite sets an arrow's image as an
     int mask over carrier indices.  Sieves are the down-sets of the poset
-    of classes, each an int mask with bit i = class i; ``below[i]`` is the
-    mask of the classes strictly under class i, and ``down[i]`` adds class
-    i.  A backend lists the classes, numbered by their first arrow in
-    ``C.arrows_into(x)``, and gives ``below`` or ``down``, and per class a
+    of classes, each an int mask with bit i = class i; ``down[i]`` is the
+    mask of class i and every class under it, the one lower-set table.  A
+    backend lists the classes, numbered by their first arrow in
+    ``C.arrows_into(x)``, and gives ``down``, and per class a
     representative arrow (``rep``), its size (``sizes``), ``class_of``, the
     members of a union of classes and the class map of an arrow out of x
     (``class_map``).
@@ -231,21 +231,14 @@ class _ObjectSieves:
         self.x = x
         self.keys = keys
         self.universe = None
-        self._below = None
         self._down = None
         self._built: dict = {}  # down-set mask -> its sieve
         self._order_keys: dict = {}  # sieve -> its key in sorted_sieves
         self._preimages: dict = {}  # arrow h out of x -> per class c at cod(h), the mask of classes i with h . i in c
 
     @property
-    def down(self) -> list:
-        if self._down is None:
-            self._down = [b | 1 << i for i, b in enumerate(self.below)]
-        return self._down
-
-    @property
     def minimal(self) -> int:
-        return _mask(i for i, b in enumerate(self.below) if not b)
+        return _mask(i for i, d in enumerate(self.down) if d == 1 << i)
 
     def sieve(self, ideal: int) -> Sieve:
         """The sieve made of the classes in the down-set mask ``ideal``,
@@ -284,7 +277,7 @@ class _ObjectSieves:
         ``sorted_sieves`` does: its size, then its classes in ascending
         order.
 
-        For sets of one size, the sorted position tuple of A is below that
+        For sets of one size, the sorted position tuple of A precedes that
         of B iff the first position in their symmetric difference lies in
         A.  That position is the first arrow of the first class that one
         holds and the other lacks, since classes are disjoint and numbered
@@ -297,7 +290,7 @@ class _ObjectSieves:
         """Every sieve that contains one of the sieves ``bottoms``."""
         ideals: set = set()
         for B in bottoms:
-            _down_sets(self.below, B._ideal, cap, self.x, ideals)
+            _down_sets(self.down, B._ideal, cap, self.x, ideals)
         return [self.sieve(ideal) for ideal in ideals]
 
 
@@ -339,13 +332,13 @@ class _TableClasses(_ObjectSieves):
         self.sizes = list(map(len, self.classes))
 
     @property
-    def below(self) -> list:
+    def down(self) -> list:
         # a class is under class i iff it holds an arrow of key i, the
         # arrows that factor through class i's arrows
-        if self._below is None:
+        if self._down is None:
             class_of = self._class_of
-            self._below = [_mask(map(class_of.__getitem__, k)) & ~(1 << i) for i, k in enumerate(self.keys)]
-        return self._below
+            self._down = [_mask(map(class_of.__getitem__, k)) for k in self.keys]
+        return self._down
 
     def rep(self, i):
         return self._reps[i]
@@ -450,12 +443,6 @@ class _ImageClasses(_ObjectSieves):
         return self._down
 
     @property
-    def below(self) -> list:
-        if self._below is None:
-            self._below = [m & ~(1 << i) for i, m in enumerate(self.down)]
-        return self._below
-
-    @property
     def minimal(self) -> int:
         # the empty image when one is realizable, otherwise the singletons,
         # found without building the lower sets
@@ -526,18 +513,18 @@ class _ImageClasses(_ObjectSieves):
         return frozenset(out)
 
 
-def _down_sets(below, seed: int, cap, obj, out):
+def _down_sets(down, seed: int, cap, obj, out):
     """Add to ``out`` the mask of every down-set containing the down-set
-    mask ``seed`` of a finite poset given by the masks of its strict lower
-    sets; raise once ``out`` holds more than ``cap``.
+    mask ``seed`` of a finite poset given by the masks of its lower sets
+    (``down[i]`` holds i); raise once ``out`` holds more than ``cap``.
 
     Classes are taken along a linear extension (by the size of their lower
     sets), and each down-set found so far is kept with and without the next
-    class whenever that class's lower set lies in it.
+    class whenever the rest of that class's lower set lies in it.
     """
     found = [seed]
-    for i in sorted((i for i in range(len(below)) if not seed >> i & 1), key=lambda i: (below[i].bit_count(), i)):
-        b, bit = below[i], 1 << i
+    for i in sorted((i for i in range(len(down)) if not seed >> i & 1), key=lambda i: (down[i].bit_count(), i)):
+        b, bit = down[i] ^ 1 << i, 1 << i
         found += [D | bit for D in found if not b & ~D]
         if len(found) > cap:
             break

@@ -263,7 +263,7 @@ def test_criterion_7_algebra():
     xor = Z.function("g2", "g", {p: (p[0] + p[1]) % 2 for p in Z.carrier("g2")})
     eta = Z.function("unit", "g", {(): 0})
     w = group_witness(Z, "g", mu=xor, eta=eta, zeta=Z.identity("g"))
-    assert check_monoid_object(Z, w.monoid).ok
+    assert check_monoid_object(Z, w).ok
     assert check_group_object(Z, w).ok
     assert check_abelian_group_object(Z, w).ok
     ident = Z.identity("g")

@@ -114,7 +114,7 @@ class TestAbelianCheck:
         proj = C.function("g2", "g", {p: p[0] for p in C.carrier("g2")})
         eta = C.function("unit", "g", {(): 0})
         zeta = C.identity("g")
-        w = GroupObjectWitness(monoid_witness(C, "g", mu=proj, eta=eta), zeta)
+        w = GroupObjectWitness(**vars(monoid_witness(C, "g", mu=proj, eta=eta)), zeta=zeta)
         verdict = check_abelian_group_object(C, w)
         assert not verdict.ok
         assert verdict.diagram in ("left-unit", "right-unit")

@@ -328,6 +328,33 @@ class TestDivisorCap:
         assert (code, report) == (2, "resource error: D_720 has 1400 composable pairs, over the candidate cap 1399")
 
 
+class TestWitnessCap:
+    """A witness without product cones searches for them under
+    --cap-candidates, in every verb that reads a witness."""
+
+    @pytest.fixture()
+    def bare(self, tmp_path):
+        path = tmp_path / "bare.wit"
+        path.write_text("group 12 mul=id_12 unit=id_12 inv=id_12\n")
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "verb, options",
+        [
+            ("check-object", {"witness": "{w}"}),
+            ("check-hom", {"source": "{w}", "target": "{w}", "arrow": "id_12"}),
+            ("check-gtop", {"witness": "{w}", "topology": str(FIXTURES / "dense12.gtop")}),
+        ],
+    )
+    def test_the_cap_flag_reaches_the_product_search(self, d12_file, bare, verb, options):
+        given = {k: v.format(w=bare) for k, v in options.items()}
+        code, report = run(verb, category=d12_file, cap_candidates=0, **given)
+        assert code == 2 and "exceeds the candidate cap 0" in report
+        assert run(verb, category=d12_file, **given)[0] == 0
+        explicit = {k: v.format(w=str(FIXTURES / "top12.wit")) for k, v in options.items()}
+        assert run(verb, category=d12_file, cap_candidates=0, **explicit)[0] == 0
+
+
 class TestIgnoredFlags:
     """A flag the verb would ignore next to another is refused, by name."""
 

@@ -24,6 +24,7 @@ from finsite.gtopology import (
     enumerate_topologies,
     sieve_universe,
     trivial_topology,
+    unclosed_cover,
 )
 from finsite.sieves import maximal_sieve, pullback_sieve, sieve_closure
 
@@ -254,3 +255,24 @@ class TestCoverPreserving:
         verdict = is_cover_preserving(F, Jdom, Jcod)
         assert not verdict.ok
         assert verdict.witness.members == frozenset()
+
+    def test_a_codomain_not_closed_upward_is_refused(self, d12):
+        # dense's cover sets less {1|12, 2|12}, which is not a least cover:
+        # the dense basis maps onto covers, but the image of that dropped
+        # cover is not one, so checking the basis alone would pass wrongly
+        dense = dense_topology(d12)
+        dropped = sieve_closure(d12, 12, ["2|12"])
+        covers = dense.covers_map()
+        covers[12] = covers[12] - {dropped}
+        J = GrothendieckTopology(d12, covers=covers)
+        with pytest.raises(StructuralError) as err:
+            is_cover_preserving(identity_functor(d12), dense, J)
+        assert str(err.value) == (
+            "cover preservation needs the codomain's cover sets closed upward: at 12, "
+            "{1|12, 2|12} contains the cover {1|12} but is not a cover"
+        )
+
+    def test_minimal_covers_are_closed_upward_without_listing_them(self, d12):
+        J = discrete_topology(d12)
+        assert unclosed_cover(J) is None
+        assert J._covers == {}

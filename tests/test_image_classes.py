@@ -128,8 +128,8 @@ class TestClassesByImageMask:
             space, carrier = _sieves_on(C, x), C.carrier(x)
             images = [frozenset(carrier[j] for j in _bits(A)) for A in space.keys]
             assert images == oracles.first_images(C, x)
-            assert [set(_bits(b)) for b in space.below] == oracles.strict_subsets(images)
-            assert space.down == [b | 1 << i for i, b in enumerate(space.below)]
+            assert all(d >> i & 1 for i, d in enumerate(space.down))
+            assert [set(_bits(d ^ 1 << i)) for i, d in enumerate(space.down)] == oracles.strict_subsets(images)
 
     def test_lower_sets_of_fourteen_elements_reach_the_sieve_cap_quickly(self):
         # 16 383 classes; comparing every pair of them took about 21 s
