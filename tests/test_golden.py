@@ -16,7 +16,6 @@ from __future__ import annotations
 import os
 import shlex
 import shutil
-import sys
 import tempfile
 from pathlib import Path
 
@@ -97,4 +96,3 @@ def test_every_report_matches_the_corpus(tmp_path):
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as scratch:
         GOLDEN.write_text(render(scratch))
-    sys.exit(0)
