@@ -23,7 +23,7 @@ from .algebra import (
     check_monoid_object,
     find_algebraic_objects,
 )
-from .continuity import initial_local_topology, is_continuous, localize, pullback_local
+from .continuity import initial_local_topology, is_continuous, localize, pullback_local, refuse_unclosed_covers
 from .errors import (
     DEFAULT_CANDIDATE_CAP,
     DEFAULT_SIEVE_CAP,
@@ -298,6 +298,7 @@ def _cmd_check_gtop(opts, caps):
         if unit_tok is None:
             raise StructuralError("--functor-level needs --unit")
         unit = _named(label_index(C).objects, unit_tok, "unit object")
+        refuse_unclosed_covers(J)  # before the product is built
         P, _, _ = build_product_category(C, C, caps["candidates"])
         mul = build_lcm_functor(P, C)
         Jp, _ = build_topology(P, opts.get("product_topology", "trivial"), sieve_cap=caps["sieves"], verify=False)

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .errors import DEFAULT_SIEVE_CAP, StructuralError
 from .gtopology import GrothendieckTopology, sieve_universe, unclosed_cover
-from .sieves import Sieve, _not_on, _sieves_on, sieve_closure, sieve_literal, sorted_sieves
+from .sieves import Sieve, _bits, _not_on, _sieves_on, sieve_closure, sieve_literal, sorted_sieves
 
 
 @dataclass(frozen=True)
@@ -122,34 +122,35 @@ class CoverPreservationVerdict:
         return self.ok
 
 
-def is_cover_preserving(
-    F,
-    Jdom: GrothendieckTopology,
-    Jcod: GrothendieckTopology,
-) -> CoverPreservationVerdict:
+def refuse_unclosed_covers(J: GrothendieckTopology):
+    """Raise ``StructuralError`` naming ``unclosed_cover(J)``, if any."""
+    if (gap := unclosed_cover(J)) is not None:
+        x, S, R = gap
+        raise StructuralError(
+            f"cover preservation needs the codomain's cover sets closed upward: at {x!r}, "
+            f"{sieve_literal(J.category, R)} contains the cover {sieve_literal(J.category, S)} but is not a cover"
+        )
+
+
+def is_cover_preserving(F, Jdom: GrothendieckTopology, Jcod: GrothendieckTopology) -> CoverPreservationVerdict:
     """Whether the image of every covering sieve generates a cover.
 
     Quantifies over ``Jdom.basis``: the whole cover set of an explicit
     topology, the minimal covers of one built from them.  Every cover
     contains a basis sieve and sieve generation is monotone, so the basis
     check is equivalent to the full one when the cover sets of ``Jcod`` are
-    closed upward; a ``Jcod`` whose cover sets are not is refused with a
-    ``StructuralError``.  On failure returns the object and the first
-    offending basis sieve.
+    closed upward; ``refuse_unclosed_covers`` refuses a ``Jcod`` whose
+    cover sets are not.  An arrow of class c is rep(c).k, so a sieve's
+    image generates the sieve that its class representatives' images do.
+    On failure returns the object and the first offending basis sieve.
     """
     C, D = F.dom, F.cod
     if Jdom.category is not C or Jcod.category is not D:
         raise StructuralError("topologies do not match the functor's categories")
-    gap = unclosed_cover(Jcod)
-    if gap is not None:
-        x, S, R = gap
-        raise StructuralError(
-            f"cover preservation needs the codomain's cover sets closed upward: at {x!r}, "
-            f"{sieve_literal(D, R)} contains the cover {sieve_literal(D, S)} but is not a cover"
-        )
+    refuse_unclosed_covers(Jcod)
     for d in sorted(C.objects, key=str):
         for S in Jdom.basis(d):
-            image = sieve_closure(D, F.obj(d), tuple({F.arr(g) for g in S.members}))
+            image = sieve_closure(D, F.obj(d), (F.arr(S._space.rep(c)) for c in _bits(S._ideal)))
             if not Jcod.contains(image):
                 return CoverPreservationVerdict(False, d, S)
     return CoverPreservationVerdict(True)

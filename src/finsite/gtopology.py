@@ -25,6 +25,7 @@ are ``&``, ``|`` and ``a & ~b == 0`` on masks.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -38,6 +39,7 @@ from .errors import (
 from .sieves import (
     Sieve,
     _bits,
+    _mask,
     _not_on,
     _sieves_on,
     maximal_sieve,
@@ -224,7 +226,8 @@ def _restricts(C, least, x, h) -> int:
 
 def _forced(C, least, x) -> int:
     """The mask of the sieve M(x) generated by rep(c).rep(c') for every
-    class c of L(x) and c' of L(dom rep(c)).
+    class c of L(x) and c' of L(dom rep(c)): class e at x lies in it iff
+    for some c the preimage mask of e along rep(c) meets L(dom rep(c)).
 
     These classes are already a down-set: an arrow under rep(c).rep(c')
     is rep(c).g with g in L(dom rep(c)), so it is in the class of
@@ -238,10 +241,8 @@ def _forced(C, least, x) -> int:
     out = 0
     for c in _bits(least[x]._ideal):
         r = sieves.rep(c)
-        d = C.dom(r)
-        at_d = _sieves_on(C, d)
-        for c2 in _bits(least[d]._ideal):
-            out |= 1 << sieves.class_of(C.compose(r, at_d.rep(c2)))
+        below, pre = least[C.dom(r)]._ideal, _sieves_on(C, C.dom(r)).preimages(r, sieves)
+        out |= _mask(e for e, m in enumerate(pre) if m & below)
     return out
 
 
@@ -444,11 +445,7 @@ def build_topology(C, kind: str, sieve_cap: int = DEFAULT_SIEVE_CAP, verify: boo
 # -- enumeration and the lattice ---------------------------------------
 
 
-def enumerate_topologies(
-    C,
-    sieve_cap: int = DEFAULT_SIEVE_CAP,
-    candidate_cap: int = DEFAULT_CANDIDATE_CAP,
-):
+def enumerate_topologies(C, sieve_cap: int = DEFAULT_SIEVE_CAP, candidate_cap: int = DEFAULT_CANDIDATE_CAP):
     """All Grothendieck topologies on a small category, each in basis form:
     its least cover at each object (see ``_closed``).
 
@@ -460,9 +457,12 @@ def enumerate_topologies(
     end is, and L(y) inside the sieve it forces for every y whose forced
     sieve reads only picked objects, that is once y and the domain of
     every class representative at y are picked.  So every leaf is a
-    topology.  The candidate cap counts the picks visited.
+    topology.  The candidate cap counts the picks visited.  Topologies
+    are named J0, J1, ... in the order of their least covers' literals
+    (objects by ``str``), which is that of all their covers' literals.
     """
-    universes = {x: sieve_universe(C, x, sieve_cap) for x in sorted(C.objects, key=str)}
+    by_str = sorted(C.objects, key=str)
+    universes = {x: sieve_universe(C, x, sieve_cap) for x in by_str}
     objs = sorted(universes, key=lambda x: (len(_sieves_on(C, x).keys), str(x)))
     pos = {x: i for i, x in enumerate(objs)}
     arrows = [[] for _ in objs]  # (x, h) for each arrow h into x, under the later of its two ends
@@ -473,15 +473,14 @@ def enumerate_topologies(
             arrows[max(pos[x], pos[C.dom(h)])].append((x, h))
         reps = (pos[C.dom(sieves.rep(c))] for c in range(len(sieves.keys)))
         forced[max(pos[x], *reps)].append(x)
-    found = []
+    found = []  # each topology's least covers
     least: dict = {}
     visited = 0
 
     def rec(i):
         nonlocal visited
         if i == len(objs):
-            picked = dict(least)
-            found.append(GrothendieckTopology(C, basis=lambda x: (picked[x],), sieve_cap=sieve_cap))
+            found.append(dict(least))
             return
         x = objs[i]
         for L in universes[x]:
@@ -501,18 +500,12 @@ def enumerate_topologies(
         del least[x]
 
     rec(0)
-    found.sort(key=_canonical_key)
-    for i, J in enumerate(found):
-        J.name = f"J{i}"
-    return found
-
-
-def _canonical_key(J: GrothendieckTopology):
-    C = J.category
-    return tuple(
-        (str(x), tuple(sieve_literal(C, S) for S in sorted_sieves(C, J.covers(x))))
-        for x in sorted(C.objects, key=str)
-    )
+    literal = functools.cache(lambda S: sieve_literal(C, S))
+    found.sort(key=lambda least: [literal(least[x]) for x in by_str])
+    return [
+        GrothendieckTopology(C, f"J{i}", basis=lambda x, least=least: (least[x],), sieve_cap=sieve_cap)
+        for i, least in enumerate(found)
+    ]
 
 
 def meet(J1: GrothendieckTopology, J2: GrothendieckTopology) -> GrothendieckTopology:

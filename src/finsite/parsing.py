@@ -36,7 +36,7 @@ import re
 from dataclasses import dataclass
 
 from .algebra import GroupObjectWitness, group_witness, monoid_witness
-from .errors import DEFAULT_CANDIDATE_CAP, DEFAULT_SIEVE_CAP, FinsiteError
+from .errors import DEFAULT_CANDIDATE_CAP, DEFAULT_SIEVE_CAP, FinsiteError, ResourceError
 from .fincat import FinCategory, ProductCone
 from .gtopology import GrothendieckTopology, check_axioms
 from .sieves import Sieve, _sieves_on, maximal_sieve
@@ -404,8 +404,6 @@ def parse_witness_file(text: str, C, filename: str = "<string>", candidate_cap: 
     G = labels.objects[toks[1]]
     opts, at = {}, {}  # option -> its value, and the index of its token
     for i, tok in enumerate(toks[2:], start=2):
-        if tok == "via":
-            continue
         if "=" not in tok:
             r.error("syntax", f"expected key=value, got {tok!r}", lineno, line, tok, _col(line, i))
             continue
@@ -449,6 +447,8 @@ def parse_witness_file(text: str, C, filename: str = "<string>", candidate_cap: 
         if kind == "monoid":
             return monoid_witness(C, G, mu=mu, eta=eta, cone_gg=cone_gg, cone_ggg=cone_ggg, candidate_cap=candidate_cap)
         return group_witness(C, G, mu=mu, eta=eta, zeta=zeta, cone_gg=cone_gg, cone_ggg=cone_ggg, candidate_cap=candidate_cap)
+    except ResourceError:
+        raise  # a cap hit is not a fault of the file
     except FinsiteError as e:
         raise ParseFailure([Diagnostic("structural", str(e), r.span(lineno, line))]) from e
 

@@ -262,6 +262,38 @@ def label_order(C, sets) -> list:
     return sorted(sets, key=lambda S: (len(S), sorted(C.arrow_label(a) for a in S), sorted(map(position, S))))
 
 
+def canonical_keys(C, topologies) -> list[tuple]:
+    """The order key of each topology, given by its cover sets (object ->
+    a frozenset of arrow sets): per object, in ``str`` order, the object's
+    ``str`` and the literals of all its covers in ``position_order``."""
+    literals: dict = {}  # a cover set -> its literals, listed once for every topology that holds it
+
+    def listed(covers):
+        if covers not in literals:
+            literals[covers] = tuple("{" + ", ".join(sorted(map(C.arrow_label, S))) + "}" for S in position_order(C, covers))
+        return literals[covers]
+
+    objs = sorted(C.objects, key=str)
+    return [tuple((str(x), listed(frozenset(covers[x]))) for x in objs) for covers in topologies]
+
+
+def forced_by_composing(C, least, x) -> frozenset:
+    """The union of the factoring classes at x of r.r2, composed for the
+    first arrow r of each class in ``least[x]`` and the first arrow r2 of
+    each class in ``least[dom r]``; ``least`` maps each object to a sieve
+    on it, as an arrow set."""
+    at_x = factoring_classes(C, x)
+    class_at_x = {a: arrows for arrows in at_x for a in arrows}
+    out = set()
+    for r, *_ in at_x:
+        if r in least[x]:
+            d = C.dom(r)
+            for r2, *_ in factoring_classes(C, d):
+                if r2 in least[d]:
+                    out.update(class_at_x[C.compose(r, r2)])
+    return frozenset(out)
+
+
 def minimal(sets) -> set[frozenset]:
     sets = set(sets)
     return {S for S in sets if not any(T < S for T in sets)}

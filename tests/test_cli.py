@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from finsite import cli
 from finsite.cli import CommandRequest, main, run_command
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -261,6 +262,24 @@ class TestVerbs:
         assert code == 2
         assert "closed upward" in report and "contains the cover {1|12} but is not a cover" in report
 
+    def test_covers_not_closed_upward_are_refused_before_the_product_is_built(self, d12_file, tmp_path, monkeypatch):
+        # the refusal comes before the product search, so it also comes
+        # before a product-cap error
+        top = tmp_path / "gap.gtop"
+        top.write_text("topology gap on D_12\ncover 12 : {1|12}\n")
+
+        def unbuilt(*args):
+            raise AssertionError("the product category was built")
+
+        monkeypatch.setattr(cli, "build_product_category", unbuilt)
+        refusal = (
+            2,
+            "error: cover preservation needs the codomain's cover sets closed upward: at '12', "
+            "{1|12, 2|12} contains the cover {1|12} but is not a cover",
+        )
+        for caps in ({}, {"cap_candidates": 0}):
+            assert run("check-gtop", category=d12_file, topology=str(top), functor_level=True, unit="1", **caps) == refusal
+
 
 def _not_utf8(tmp_path, name):
     path = tmp_path / name
@@ -353,6 +372,10 @@ class TestWitnessCap:
         assert run(verb, category=d12_file, **given)[0] == 0
         explicit = {k: v.format(w=str(FIXTURES / "top12.wit")) for k, v in options.items()}
         assert run(verb, category=d12_file, cap_candidates=0, **explicit)[0] == 0
+
+    def test_a_cap_hit_in_a_witness_is_a_resource_error(self, d12_file, bare):
+        code, report = run("check-object", category=d12_file, witness=bare, cap_candidates=0)
+        assert (code, report) == (2, "resource error: product search over ~36 candidates exceeds the candidate cap 0")
 
 
 class TestIgnoredFlags:

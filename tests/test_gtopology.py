@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import finsite
 from finsite import gtopology
 from finsite.errors import ResourceError, StructuralError
-from finsite.fincat import FinCategory, build_divisor_poset, build_finset_category
+from finsite.fincat import FinCategory, build_divisor_poset, build_finset_category, relabel_category
 from finsite.gtopology import (
     GrothendieckTopology,
     atomic_topology,
@@ -32,7 +32,7 @@ from finsite.gtopology import (
     trivial_topology,
 )
 from finsite.parsing import parse_category_file, parse_topology_file
-from finsite.sieves import _ObjectSieves, is_sieve, maximal_sieve, pullback_sieve, sieve_closure, sorted_sieves
+from finsite.sieves import _ObjectSieves, _sieves_on, is_sieve, maximal_sieve, pullback_sieve, sieve_closure, sorted_sieves
 
 import oracles
 from oracles import dense_below, divisor_down_sets
@@ -453,6 +453,120 @@ def assert_enumeration_matches_brute_force(C):
     assert len(found) == len(got)
     assert got == expected
     return found
+
+
+@st.composite
+def twin_labels(draw, categories):
+    """A table category drawn from ``categories`` in which one to three
+    pairs of arrows into one object are renamed to the int k and the str
+    "k", which print alike."""
+    C = draw(categories)
+    pairs = [
+        pair
+        for x in C.objects
+        for pair in itertools.combinations([a for a in C.arrows_into(x) if a != C.identity(C.dom(a))], 2)
+    ]
+    assume(pairs)
+    rename = {}
+    for k, (a, b) in enumerate(draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3))):
+        if a not in rename and b not in rename:
+            rename[a], rename[b] = k, str(k)
+    return relabel_category(C, obj_fn=lambda x: x, arr_fn=lambda a: rename.get(a, a))
+
+
+class TestEnumerationOrder:
+    """Enumeration names its topologies J0, J1, ... in the order of
+    ``oracles.canonical_keys``, which lists the literals of every cover at
+    every object; the keys differ whenever no two arrows share a label."""
+
+    def check(self, C, found=None):
+        found = enumerate_topologies(C) if found is None else found
+        universes = {x: oracles.sieves_on(C, x) for x in C.objects}
+
+        @functools.cache
+        def up_set(L):
+            return frozenset(S for S in universes[L.base] if L.members <= S)
+
+        keys = oracles.canonical_keys(C, [{x: up_set(J.basis(x)[0]) for x in C.objects} for J in found])
+        assert keys == sorted(keys)
+        labels = list(map(C.arrow_label, C.all_arrows()))
+        if len(set(labels)) == len(labels):
+            assert len(set(keys)) == len(keys)
+        assert [J.name for J in found] == [f"J{i}" for i in range(len(found))]
+
+    @given(posets())
+    @settings(max_examples=30, deadline=None)
+    def test_random_posets(self, C):
+        self.check(C)
+
+    @given(transformation_monoids())
+    @settings(max_examples=20, deadline=None)
+    def test_transformation_monoids(self, C):
+        self.check(C)
+
+    @given(finset_families())
+    @settings(max_examples=10, deadline=None)
+    def test_finset_families_with_an_empty_carrier(self, C):
+        self.check(C)
+
+    @given(twin_labels(st.one_of(posets(), transformation_monoids())))
+    @settings(max_examples=40, deadline=None)
+    def test_arrows_whose_ids_print_alike(self, C):
+        self.check(C)
+
+    def test_a_parallel_pair_whose_ids_print_alike(self):
+        self.check(FinCategory.from_data("clash", ["a", "b"], {1: ("a", "b"), "1": ("a", "b")}))
+
+    @pytest.mark.parametrize("n", [12, 30])
+    def test_divisor_posets(self, n):
+        self.check(build_divisor_poset(n))
+
+    def test_d60_lists_no_cover_set_and_composes_only_for_its_class_tables(self, monkeypatch):
+        # 320 compositions build the class tables and class maps; listing
+        # every cover to sort the topologies took 49 152 covers calls
+        C = build_divisor_poset(60)
+        compositions, covers = [], []
+        compose, listed = type(C).compose, GrothendieckTopology.covers
+        monkeypatch.setattr(type(C), "compose", lambda self, g, f: compositions.append(g) or compose(self, g, f))
+        monkeypatch.setattr(GrothendieckTopology, "covers", lambda self, x: covers.append(x) or listed(self, x))
+        found = enumerate_topologies(C)
+        monkeypatch.undo()  # the oracle composes
+        assert len(found) == 4096
+        assert covers == []
+        assert len(compositions) <= 400
+        self.check(C, found)
+
+
+class TestForcedAgainstOracle:
+    """``_forced`` reads the preimage masks of class representatives and
+    composes nothing; ``oracles.forced_by_composing`` composes them.  They
+    agree on random least covers and on the greatest stable and
+    transitive ones under them, and the forced classes form a sieve."""
+
+    def check(self, C, data):
+        objs = sorted(C.objects, key=str)
+        drawn = {x: data.draw(st.sampled_from(sieve_universe(C, x))) for x in objs}
+        for least in (drawn, gtopology._closed(C, drawn)):
+            as_arrows = {x: L.members for x, L in least.items()}
+            for x in objs:
+                forced = _sieves_on(C, x).members(gtopology._forced(C, least, x))
+                assert forced == oracles.forced_by_composing(C, as_arrows, x), x
+                assert is_sieve(C, x, forced), x
+
+    @given(posets(), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_random_posets(self, C, data):
+        self.check(C, data)
+
+    @given(transformation_monoids(), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_transformation_monoids(self, C, data):
+        self.check(C, data)
+
+    @given(finset_families(), st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_finset_families_with_an_empty_carrier(self, C, data):
+        self.check(C, data)
 
 
 BUILDER_ORACLES = {

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finsite.algebra import GroupObjectWitness, check_group_object
+from finsite.errors import ResourceError
 from finsite.fincat import validate_category
 from finsite.gtopology import dense_topology
 from finsite.sieves import maximal_sieve, sieve_closure
@@ -240,6 +241,21 @@ class TestWitnessParsing:
         with pytest.raises(ParseFailure) as e:
             parse_witness_file("monoid 12 mul=id_12 unit=1|12\n", d12s, "w.wit")
         assert any(d.code == "structural" for d in e.value.diagnostics)
+
+    def test_a_cap_hit_is_a_resource_error(self, d12s):
+        # the product search of a witness without cones stops at the cap;
+        # the error keeps the cap's name and value
+        with pytest.raises(ResourceError) as e:
+            parse_witness_file("group 12 mul=id_12 unit=id_12 inv=id_12\n", d12s, "w.wit", candidate_cap=0)
+        assert str(e.value) == "product search over ~36 candidates exceeds the candidate cap 0"
+        assert (e.value.cap_name, e.value.cap_value) == ("candidates", 0)
+
+    def test_via_is_not_a_keyword(self, d12s):
+        line = "group 12 via mul=id_12 via unit=id_12 inv=id_12 via"
+        with pytest.raises(ParseFailure) as e:
+            parse_witness_file(line + "\n", d12s, "w.wit")
+        got = [(d.code, d.message, d.span.col_start, d.span.col_end) for d in e.value.diagnostics]
+        assert got == [("syntax", "expected key=value, got 'via'", col, col + 2) for col in (10, 24, 49)]
 
 
 class TestRoundTrips:
