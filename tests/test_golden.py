@@ -1,10 +1,14 @@
-"""Every verb's report on D_12, replayed against a committed corpus.
+"""Every verb's report on D_12, and the topology verbs' reports on a
+category that is not thin, replayed against committed corpora.
 
 ``fixtures/d12-corpus.golden`` holds, for each command line of
 ``calls()``, its exit code, its report and the files it writes with
-``-o``.  The calls run through ``run_command`` in a scratch directory
-that holds copies of the input fixtures, so reports name files by their
-bare names.  After a deliberate change of output, rewrite the corpus with
+``-o``; ``fixtures/swap-corpus.golden`` does the same for
+``swap_calls()`` on ``fixtures/swap.cat``, whose factoring classes hold
+two arrows each with labels that interleave.  The calls run through
+``run_command`` in a scratch directory that holds copies of the input
+fixtures, so reports name files by their bare names.  After a deliberate
+change of output, rewrite the corpora with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -24,6 +28,8 @@ from finsite.cli import CommandRequest, _build_parser, run_command
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "d12-corpus.golden"
 INPUTS = ("d12.cat", "top12.wit", "broken12.gtop", "j3-d12.gtop", "dense12.gtop")
+SWAP_GOLDEN = FIXTURES / "swap-corpus.golden"
+SWAP_INPUTS = ("swap.cat", "swap-broken.gtop")
 KINDS = ("trivial", "discrete", "dense", "atomic")
 ARROWS = {"2|12": "{1|12, 2|12}", "1|4": "{1|4}", "id_6": "{1|6, 2|6}"}  # arrow -> a sieve on its codomain
 DOMAINS = {"2|12": "2", "1|4": "1", "id_6": "6"}
@@ -67,10 +73,32 @@ def calls():
     yield ["check-gtop", *cat, "--topology", "broken12.gtop", "--functor-level", "--unit", "1", "--product-topology", "atomic"]
 
 
-def render(workdir) -> str:
-    """The corpus text: each call run in ``workdir``, which receives copies
-    of the input fixtures."""
-    for name in INPUTS:
+SWAP_ARROWS = {"t": "{p}", "a": "{ap}", "s": "{a}", "m": "{aq}", "p": "{id_A}"}  # arrow -> a sieve on its codomain
+
+
+def swap_calls():
+    """The topology verbs on ``swap.cat``, in order, as ``calls()`` runs
+    them on D_12."""
+    cat = ["--category", "swap.cat"]
+    for k in KINDS:
+        yield ["make-topology", *cat, "--kind", k, "-o", f"{k}.gtop"]
+    for k in (*KINDS, "swap-broken"):
+        yield ["check-topology", *cat, "--topology", f"{k}.gtop"]
+    for i, a in enumerate(KINDS):
+        for b in (*KINDS[i + 1 :], "swap-broken"):
+            for verb in ("meet", "join"):
+                yield [verb, *cat, "--topology", f"{a}.gtop", "--topology2", f"{b}.gtop"]
+    for arrow, sieve in SWAP_ARROWS.items():
+        yield ["pullback", *cat, "--arrow", arrow, "--sieve", sieve]
+        for k in (*KINDS, "swap-broken"):
+            yield ["pullback", *cat, "--arrow", arrow, "--topology", f"{k}.gtop"]
+    yield ["enumerate-topologies", *cat]
+
+
+def render(workdir, calls=calls, inputs=INPUTS) -> str:
+    """The corpus text of ``calls``: each call run in ``workdir``, which
+    receives copies of the fixtures ``inputs``."""
+    for name in inputs:
         shutil.copy(FIXTURES / name, Path(workdir) / name)
     parser, out = _build_parser(), []
     here = os.getcwd()
@@ -93,6 +121,12 @@ def test_every_report_matches_the_corpus(tmp_path):
     assert render(tmp_path) == GOLDEN.read_text()
 
 
+def test_every_report_on_a_category_that_is_not_thin_matches_its_corpus(tmp_path):
+    assert render(tmp_path, swap_calls, SWAP_INPUTS) == SWAP_GOLDEN.read_text()
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as scratch:
         GOLDEN.write_text(render(scratch))
+    with tempfile.TemporaryDirectory() as scratch:
+        SWAP_GOLDEN.write_text(render(scratch, swap_calls, SWAP_INPUTS))
