@@ -39,6 +39,11 @@ def identity_name(x: ObjId) -> str:
     return f"id_{x}"
 
 
+def _no_composite(g, f) -> StructuralError:
+    """The error for a composable pair (g, f) that a table category lacks."""
+    return StructuralError(f"composition table has no entry for ({g!r} . {f!r})")
+
+
 class FinCategory:
     """A finite category with an explicit composition table.
 
@@ -160,7 +165,7 @@ class FinCategory:
         try:
             return self._table[(g, f)]
         except KeyError:
-            raise StructuralError(f"composition table has no entry for ({g!r} . {f!r})") from None
+            raise _no_composite(g, f) from None
 
     def hom(self, x, y):
         for o in (x, y):

@@ -55,7 +55,7 @@ def sieve_universe(C, x, cap: int = DEFAULT_SIEVE_CAP):
     """All sieves on x, as a sorted tuple."""
     sieves = _sieves_on(C, x)
     if sieves.universe is None:
-        sieves.universe = tuple(sorted_sieves(C, sieves.above((sieves.sieve(0),), cap)))
+        sieves.universe = tuple(sorted_sieves(C, map(sieves.sieve, sieves.up_sets((sieves.sieve(0),), cap))))
     if len(sieves.universe) > cap:
         raise ResourceError(
             f"object {x!r} has {len(sieves.universe)} sieves, over the sieve cap {cap}",
@@ -101,6 +101,7 @@ class GrothendieckTopology:
         self._basis: dict = {}
         self._minimal_covers = basis
         self._sieve_cap = sieve_cap
+        self._gap = ()  # unclosed_cover's verdict, once decided: None or (x, S, R)
         if covers is not None:
             for x, sieves in covers.items():
                 if not category.has_object(x):
@@ -112,7 +113,8 @@ class GrothendieckTopology:
 
     def covers(self, x) -> frozenset:
         if x not in self._covers:
-            self._covers[x] = frozenset(_sieves_on(self.category, x).above(self.basis(x), self._sieve_cap))
+            sieves = _sieves_on(self.category, x)
+            self._covers[x] = frozenset(map(sieves.sieve, sieves.up_sets(self.basis(x), self._sieve_cap)))
         return self._covers[x]
 
     def covers_map(self) -> dict:
@@ -157,9 +159,16 @@ def topology_leq(J1: GrothendieckTopology, J2: GrothendieckTopology) -> bool:
 def unclosed_cover(J: GrothendieckTopology):
     """``(x, S, R)`` for the first cover S at x that grows by one factoring
     class into a sieve R that is not a cover, or None when every cover set
-    of J is closed upward, as those of minimal covers are."""
+    of J is closed upward, as those of minimal covers are.  Decided once
+    per topology."""
     if J._minimal_covers is not None:
         return None
+    if J._gap == ():
+        J._gap = _unclosed_cover(J)
+    return J._gap
+
+
+def _unclosed_cover(J):
     C = J.category
     for x in sorted(C.objects, key=str):
         cov = J.covers(x)

@@ -349,16 +349,26 @@ def parse_topology_file(
 
 
 def serialize_topology(J: GrothendieckTopology) -> str:
+    """The topology file of J: per object in ``str`` order, the literal of
+    every cover but the maximal sieve, by length and then text.
+
+    Each literal is printed from a mask (``_ObjectSieves.literal``): a
+    cover set that J holds prints each sieve from its own object, and the
+    covers of minimal covers not yet listed are read as their up-set
+    masks, under J's sieve cap, with no ``Sieve`` built.
+    """
     C = J.category
     name = re.sub(r"[^\w()|.*+\-]", "-", J.name) if J.name else "topology"
     lines = [f"topology {name} on {C.name}"]
     for x in sorted(C.objects, key=str):
-        tx = maximal_sieve(C, x)
-        literals = []
-        for S in J.covers(x):
-            if S == tx:
-                continue
-            literals.append("{" + ", ".join(sorted(map(str, S.members))) + "}")
+        covers = J._covers.get(x)
+        if covers is None:
+            sieves = _sieves_on(C, x)
+            top = (1 << len(sieves.keys)) - 1
+            literals = [sieves.literal(m) for m in sieves.up_sets(J.basis(x), J._sieve_cap) if m != top]
+        else:
+            tx = maximal_sieve(C, x)
+            literals = [S._space.literal(S._ideal) for S in covers if S is not tx]
         for lit in sorted(literals, key=lambda s: (len(s), s)):
             lines.append(f"cover {x} : {lit}")
     return "\n".join(lines) + "\n"

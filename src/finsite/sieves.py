@@ -10,9 +10,10 @@ every class under one of its own: a down-set of classes.  A ``Sieve`` is
 its base and that down-set, built once per down-set by the
 ``_ObjectSieves`` of its base, so equal sieves are one object.  A
 down-set of classes is an int mask, bit i = class i: inclusion is
-``a & ~b == 0``, union and intersection are ``|`` and ``&``.  Its
-arrows are listed only when asked for (``Sieve.members``, as
-``sieve_literal`` does).  Sieves come from ``sieve_closure``,
+``a & ~b == 0``, union and intersection are ``|`` and ``&``.  A
+literal is printed from the mask (``_ObjectSieves.literal``, which
+``sieve_literal`` and topology files use); the arrows are listed only
+when asked for (``Sieve.members``).  Sieves come from ``sieve_closure``,
 ``maximal_sieve``, ``pullback_sieve`` and ``sieve_universe``; a raw arrow
 set is never a ``Sieve``, and ``is_sieve`` tests whether it is one.
 Classes are numbered by their first arrow in ``C.arrows_into(x)``, and
@@ -27,7 +28,7 @@ import operator
 from typing import Iterable
 
 from .errors import ResourceError, StructuralError
-from .fincat import FinFunction
+from .fincat import FinFunction, _no_composite
 
 
 class Sieve:
@@ -168,8 +169,9 @@ def sorted_sieves(C, sieves) -> list:
 
 
 def sieve_literal(C, S: Sieve) -> str:
-    """Printable form: sorted member labels in braces."""
-    return "{" + ", ".join(sorted(C.arrow_label(a) for a in S.members)) + "}"
+    """Printable form: sorted member labels in braces, printed from S's
+    classes on its own object (see ``_ObjectSieves.literal``)."""
+    return S._space.literal(S._ideal)
 
 
 # -- the sieves on one object, by factoring class ----------------------
@@ -222,8 +224,9 @@ class _ObjectSieves:
     backend lists the classes, numbered by their first arrow in
     ``C.arrows_into(x)``, and gives ``down``, and per class a
     representative arrow (``rep``), its size (``sizes``), ``class_of``, the
-    members of a union of classes and the class map of an arrow out of x
-    (``class_map``).
+    members of a union of classes, its literal (``literal``: the sorted
+    labels of those members in braces) and the class map of an arrow out
+    of x (``class_map``).
     """
 
     def __init__(self, C, x, keys):
@@ -286,12 +289,13 @@ class _ObjectSieves:
         """
         return (self.size(ideal), tuple(_bits(ideal)))
 
-    def above(self, bottoms, cap):
-        """Every sieve that contains one of the sieves ``bottoms``."""
+    def up_sets(self, bottoms, cap) -> set:
+        """The masks of every sieve that contains one of the sieves
+        ``bottoms``; more than ``cap`` of them raise (see ``_down_sets``)."""
         ideals: set = set()
         for B in bottoms:
             _down_sets(self.down, B._ideal, cap, self.x, ideals)
-        return [self.sieve(ideal) for ideal in ideals]
+        return ideals
 
 
 _BLOCK = 1 << 12  # positions per block in _fibres
@@ -321,15 +325,20 @@ class _TableClasses(_ObjectSieves):
     their order in ``C.arrows_into(x)``."""
 
     def __init__(self, C, x):
-        # a factors through b iff key(a) <= key(b)
-        compose, into, by_key = C.compose, C.arrows_into, {}
-        for a in into(x):
-            by_key.setdefault(frozenset(compose(a, g) for g in into(C.dom(a))), []).append(a)
+        # a factors through b iff key(a) <= key(b); every pair (a, g) read
+        # from the table is composable
+        table, into, by_key = C._table, C.arrows_into, {}
+        try:
+            for a in into(x):
+                by_key.setdefault(frozenset([table[a, g] for g in into(C.dom(a))]), []).append(a)
+        except KeyError as e:
+            raise _no_composite(*e.args[0]) from None
         super().__init__(C, x, list(by_key))
         self.classes = [frozenset(arrows) for arrows in by_key.values()]  # their unions reuse stored hashes
         self._reps = [arrows[0] for arrows in by_key.values()]
         self._class_of = {a: i for i, cls in enumerate(self.classes) for a in cls}
         self.sizes = list(map(len, self.classes))
+        self._labels = self._positions = None  # built for the first literal
 
     @property
     def down(self) -> list:
@@ -349,12 +358,25 @@ class _TableClasses(_ObjectSieves):
     def class_map(self, h, at_cod) -> list:
         """The class at cod(h) of h composed with each class's
         representative: if g and g' factor through each other, so do h.g
-        and h.g'."""
-        compose, class_of = self.C.compose, at_cod.class_of
-        return [class_of(compose(h, r)) for r in self._reps]
+        and h.g'.  Each pair is read from the table: building the classes
+        at cod(h) read every composite of h."""
+        table, class_of = self.C._table, at_cod.class_of
+        return [class_of(table[h, r]) for r in self._reps]
 
     def members(self, ideal: int) -> frozenset:
         return frozenset().union(*itertools.compress(self.classes, _flags(ideal)))
+
+    def literal(self, ideal: int) -> str:
+        """The labels of the arrows of ``ideal``'s classes, picked from
+        ``C.arrows_into(x)``, which lists them by label, by the OR of the
+        classes' position masks (bit p = the p-th arrow into x)."""
+        if self._labels is None:
+            into = self.C.arrows_into(self.x)
+            at = {a: p for p, a in enumerate(into)}
+            self._labels = list(map(self.C.arrow_label, into))
+            self._positions = [_mask(map(at.__getitem__, cls)) for cls in self.classes]
+        positions = sum(itertools.compress(self._positions, _flags(ideal)))  # the classes are disjoint
+        return "{" + ", ".join(itertools.compress(self._labels, _flags(positions))) + "}"
 
 
 def _surjections(m: int, k: int) -> int:
@@ -511,6 +533,10 @@ class _ImageClasses(_ObjectSieves):
                     FinFunction(d, x, f) for f in itertools.product(A, repeat=m) if len(set(f)) == len(A)
                 )
         return frozenset(out)
+
+    def literal(self, ideal: int) -> str:
+        """The sorted labels of the members, which are listed to be labelled."""
+        return "{" + ", ".join(sorted(map(self.C.arrow_label, self.members(ideal)))) + "}"
 
 
 def _down_sets(down, seed: int, cap, obj, out):

@@ -7,6 +7,7 @@ suite are computed against these and frozen where the value is small.
 from __future__ import annotations
 
 import math
+import re
 from itertools import combinations
 
 
@@ -292,6 +293,26 @@ def forced_by_composing(C, least, x) -> frozenset:
                 if r2 in least[d]:
                     out.update(class_at_x[C.compose(r, r2)])
     return frozenset(out)
+
+
+def member_literal(C, S) -> str:
+    """A sieve's literal from its listed members: their labels, sorted."""
+    return "{" + ", ".join(sorted(C.arrow_label(a) for a in S.members)) + "}"
+
+
+def member_topology_file(J) -> str:
+    """The topology file of J from every cover's listed members: per
+    object in ``str`` order, each cover other than the maximal sieve (all
+    the arrows into the object) as its members' sorted ``str`` labels in
+    braces, by length and then text."""
+    C = J.category
+    name = re.sub(r"[^\w()|.*+\-]", "-", J.name) if J.name else "topology"
+    lines = [f"topology {name} on {C.name}"]
+    for x in sorted(C.objects, key=str):
+        top = frozenset(C.arrows_into(x))
+        literals = ["{" + ", ".join(sorted(map(str, S.members))) + "}" for S in J.covers(x) if S.base != x or S.members != top]
+        lines += [f"cover {x} : {lit}" for lit in sorted(literals, key=lambda s: (len(s), s))]
+    return "\n".join(lines) + "\n"
 
 
 def minimal(sets) -> set[frozenset]:

@@ -3,8 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from finsite import cli
+from finsite import cli, gtopology
 from finsite.cli import CommandRequest, main, run_command
+from finsite.sieves import _TableClasses
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -280,6 +281,17 @@ class TestVerbs:
         for caps in ({}, {"cap_candidates": 0}):
             assert run("check-gtop", category=d12_file, topology=str(top), functor_level=True, unit="1", **caps) == refusal
 
+    def test_a_functor_level_run_decides_closure_once(self, d12_file, tmp_path, monkeypatch):
+        # the CLI refuses an unclosed file before the product is built, and
+        # cover preservation asks again of the same topology
+        top = tmp_path / "discrete.gtop"
+        assert run("make-topology", category=d12_file, kind="discrete", output=str(top))[0] == 0
+        passes, first_gap = [], gtopology._first_gap
+        monkeypatch.setattr(gtopology, "_first_gap", lambda *args: passes.append(args) or first_gap(*args))
+        code, report = run("check-gtop", category=d12_file, topology=str(top), functor_level=True, unit="1")
+        assert code == 0 and "cover-preserving: True" in report
+        assert len(passes) == 6  # one per object of D_12
+
 
 def _not_utf8(tmp_path, name):
     path = tmp_path / name
@@ -322,6 +334,30 @@ class TestUndecodableInput:
         bad = _not_utf8(tmp_path, "bad.cat")
         assert main(["validate", "--category", bad]) == 2
         assert capsys.readouterr().out.startswith(f"error: {bad} is not UTF-8 text: ")
+
+
+class TestPrintingListsNoArrows:
+    """Topology files and the axiom check that passes list no sieve's
+    arrows on a table category: literals are printed from class masks."""
+
+    def test_d360_make_topology_meet_and_join(self, tmp_path, monkeypatch):
+        cat = tmp_path / "d360.cat"
+        assert run("make-category", divisor=360, output=str(cat))[0] == 0
+        listed, members = [], _TableClasses.members
+        monkeypatch.setattr(_TableClasses, "members", lambda self, ideal: listed.append(ideal) or members(self, ideal))
+        covers = {}  # file -> its number of cover lines
+        for kind in ("dense", "discrete"):
+            out = tmp_path / f"{kind}.gtop"
+            code, report = run("make-topology", category=str(cat), kind=kind, output=str(out))
+            assert code == 0 and report.endswith("axioms: pass")
+            covers[kind] = out.read_text().count("\ncover ")
+        assert covers["dense"] == 1009
+        for verb, kind in (("meet", "dense"), ("join", "discrete")):  # dense covers are discrete ones
+            out = tmp_path / f"{verb}.gtop"
+            top = {"topology": str(tmp_path / "dense.gtop"), "topology2": str(tmp_path / "discrete.gtop")}
+            assert run(verb, category=str(cat), output=str(out), **top)[0] == 0
+            assert out.read_text().count("\ncover ") == covers[kind]
+        assert listed == []
 
 
 class TestDivisorCap:

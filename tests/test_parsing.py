@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from finsite.algebra import GroupObjectWitness, check_group_object
 from finsite.errors import ResourceError
-from finsite.fincat import validate_category
-from finsite.gtopology import dense_topology
-from finsite.sieves import maximal_sieve, sieve_closure
+from finsite.fincat import build_divisor_poset, validate_category
+from finsite.gtopology import GrothendieckTopology, build_topology, dense_topology, join, meet, sieve_universe
+from finsite.sieves import maximal_sieve, sieve_closure, sieve_literal
 from finsite.parsing import (
     ParseFailure,
     parse_category_file,
@@ -18,7 +18,9 @@ from finsite.parsing import (
     serialize_topology,
     serialize_witness,
 )
-from test_gtopology import posets, transformation_monoids
+from test_gtopology import finset_families, posets, transformation_monoids, twin_labels
+
+import oracles
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -305,6 +307,77 @@ class TestRoundTrips:
         C2 = parse_category_file(text)
         assert validate_category(C2).ok
         assert serialize_category(C2) == text
+
+
+# -- printed forms against the member-listing oracle ----------------------
+
+KINDS = ("trivial", "discrete", "dense", "atomic")
+
+
+def assert_prints_as_listed(C):
+    """Every sieve's literal, and the file of each named topology, of their
+    meets and joins and of each file read back, as ``oracles`` prints them
+    from listed members."""
+    for x in C.objects:
+        for S in sieve_universe(C, x):
+            assert sieve_literal(C, S) == oracles.member_literal(C, S)
+    tops = [build_topology(C, k, verify=False)[0] for k in KINDS]  # basis form, covers not yet listed
+    for J in tops:
+        text = serialize_topology(J)
+        again = build_topology(C, J.name, verify=False)[0]
+        assert text == oracles.member_topology_file(again)
+        assert serialize_topology(J) == text  # from the covers the oracle did not list
+        read_back, _ = parse_topology_file(text, C, verify=False)  # explicit
+        assert serialize_topology(read_back) == oracles.member_topology_file(read_back)
+    for J1, J2 in zip(tops, tops[1:]):
+        for J in (meet(J1, J2), join(J1, J2)):
+            assert serialize_topology(J) == oracles.member_topology_file(J)
+
+
+class TestPrintedFormAgainstOracle:
+    """Literals and topology files are printed from class masks; the
+    oracle lists each sieve's members and sorts their labels."""
+
+    @given(posets())
+    @settings(max_examples=40, deadline=None)
+    def test_random_posets(self, C):
+        assert_prints_as_listed(C)
+
+    @given(transformation_monoids())
+    @settings(max_examples=40, deadline=None)
+    def test_transformation_monoids(self, C):
+        # their classes hold several arrows whose labels interleave
+        assert_prints_as_listed(C)
+
+    @given(twin_labels(st.one_of(posets(), transformation_monoids())))
+    @settings(max_examples=40, deadline=None)
+    def test_arrows_whose_ids_print_alike(self, C):
+        assert_prints_as_listed(C)
+
+    def test_d360_under_every_kind(self):
+        assert_prints_as_listed(build_divisor_poset(360))
+
+    def test_a_sieve_filed_under_another_object_prints_from_its_own(self):
+        C = build_divisor_poset(12)
+        stored = {maximal_sieve(C, 12), maximal_sieve(C, 6), sieve_closure(C, 4, ["2|4"]), sieve_closure(C, 12, ["4|12"])}
+        J = GrothendieckTopology(C, "strays", covers={12: stored})
+        text = serialize_topology(J)
+        assert text == oracles.member_topology_file(J)
+        assert "cover 12 : {1|6, 2|6, 3|6, id_6}\n" in text and "cover 12 : {1|4, 2|4}\n" in text
+
+    @given(finset_families())
+    @settings(max_examples=10, deadline=None)
+    def test_finset_files_print_arrow_labels(self, C):
+        for x in C.objects:
+            for S in sieve_universe(C, x):
+                assert sieve_literal(C, S) == oracles.member_literal(C, S)
+        J = build_topology(C, "discrete", verify=False)[0]
+        lines = serialize_topology(J).splitlines()[1:]
+        expected = []
+        for x in sorted(C.objects, key=str):
+            literals = [oracles.member_literal(C, S) for S in sieve_universe(C, x) if S is not maximal_sieve(C, x)]
+            expected += [f"cover {x} : {lit}" for lit in sorted(literals, key=lambda s: (len(s), s))]
+        assert lines == expected
 
 
 # -- fuzzing: mutated fixtures give a value or a ParseFailure with spans ----

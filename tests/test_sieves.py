@@ -72,6 +72,21 @@ class TestConstruction:
             Sieve(2, frozenset({"f"}))
 
 
+class TestMissingComposite:
+    def test_class_tables_raise_what_compose_raises(self):
+        # g . f is composable but left out of a hand-built table
+        C = FinCategory.from_data("chain", "abc", {"f": ("a", "b"), "g": ("b", "c"), "h": ("a", "c")}, {("g", "f"): "h"})
+        table = {pair: h for pair, h in C._table.items() if pair != ("g", "f")}
+        broken = FinCategory("chain", C.objects, C._arrows, C._identity, table)
+        with pytest.raises(StructuralError) as composed:
+            broken.compose("g", "f")
+        assert str(composed.value) == "composition table has no entry for ('g' . 'f')"
+        with pytest.raises(StructuralError) as listed:
+            sieve_closure(broken, "c", ["g"])
+        assert str(listed.value) == str(composed.value)
+        assert sieve_closure(broken, "b", ["f"]).members == {"f"}  # the classes at b need no g . f
+
+
 class TestMaximalSieve:
     def test_d12_top(self, d12):
         S = maximal_sieve(d12, 12)
