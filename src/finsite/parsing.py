@@ -349,14 +349,10 @@ def parse_topology_file(
 
 
 def serialize_topology(J: GrothendieckTopology) -> str:
-    """The topology file of J: per object in ``str`` order, the literal of
-    every cover but the maximal sieve, by length and then text.
-
-    Each literal is printed from a mask (``_ObjectSieves.literal``): a
-    cover set that J holds prints each sieve from its own object, and the
-    covers of minimal covers not yet listed are read as their up-set
-    masks, under J's sieve cap, with no ``Sieve`` built.
-    """
+    """The topology file of J, each cover printed from its mask
+    (``_ObjectSieves.literal``): a cover set J holds from each sieve's own
+    object, and covers not yet listed from the up-set masks of J's minimal
+    covers, under J's sieve cap."""
     C = J.category
     name = re.sub(r"[^\w()|.*+\-]", "-", J.name) if J.name else "topology"
     lines = [f"topology {name} on {C.name}"]
