@@ -371,10 +371,11 @@ class _TableClasses(_ObjectSieves):
         ``C.arrows_into(x)``, which lists them by label, by the OR of the
         classes' position masks (bit p = the p-th arrow into x)."""
         if self._labels is None:
-            into = self.C.arrows_into(self.x)
-            at = {a: p for p, a in enumerate(into)}
+            into, class_of = self.C.arrows_into(self.x), self._class_of
+            self._positions = [0] * len(self.classes)
+            for p, a in enumerate(into):
+                self._positions[class_of[a]] |= 1 << p
             self._labels = list(map(self.C.arrow_label, into))
-            self._positions = [_mask(map(at.__getitem__, cls)) for cls in self.classes]
         positions = sum(itertools.compress(self._positions, _flags(ideal)))  # the classes are disjoint
         return "{" + ", ".join(itertools.compress(self._labels, _flags(positions))) + "}"
 
