@@ -150,6 +150,36 @@ def topology_ok(C, covers) -> bool:
     return True
 
 
+def axiom_violations(C, covers) -> list[tuple]:
+    """The violations of the axioms by ``covers`` (object -> a set of
+    sieves on it, as arrow sets), each as ``(axiom, object, sieve, arrow,
+    detail)``: per object in ``str`` order a missing maximal sieve; then
+    per object, per cover in ``position_order`` and per arrow into the
+    object, a pullback that is no cover; then per object, per non-cover
+    in ``position_order``, the first cover in that order along each of
+    whose members it pulls back to a cover, when there is one."""
+    objs = sorted(C.objects, key=str)
+    out = []
+    for x in objs:
+        top = frozenset(C.arrows_into(x))
+        if top not in covers[x]:
+            out.append(("maximality", x, top, None, "maximal sieve is not a cover"))
+    for x in objs:
+        for S in position_order(C, covers[x]):
+            for h in C.arrows_into(x):
+                P = pullback_members(C, h, S)
+                if P not in covers[C.dom(h)]:
+                    detail = f"pullback {member_literal(C, P)} is not a cover at {C.dom(h)!r}"
+                    out.append(("stability", x, S, h, detail))
+    for x in objs:
+        cov = position_order(C, covers[x])
+        for R in position_order(C, sieves_on(C, x) - set(covers[x])):
+            forcing = [S for S in cov if all(pullback_members(C, h, R) in covers[C.dom(h)] for h in S)]
+            if forcing:
+                out.append(("transitivity", x, R, None, f"forced by cover {member_literal(C, forcing[0])} but not a cover"))
+    return out
+
+
 def associativity(objects, arrows, obj, arr):
     """``(True, None)`` when the binary maps ``obj`` and ``arr`` (on pairs)
     are associative, else ``(False, (a, b, c))`` for the first failing
@@ -295,9 +325,9 @@ def forced_by_composing(C, least, x) -> frozenset:
     return frozenset(out)
 
 
-def member_literal(C, S) -> str:
+def member_literal(C, members) -> str:
     """A sieve's literal from its listed members: their labels, sorted."""
-    return "{" + ", ".join(sorted(C.arrow_label(a) for a in S.members)) + "}"
+    return "{" + ", ".join(sorted(map(C.arrow_label, members))) + "}"
 
 
 def member_topology_file(J) -> str:

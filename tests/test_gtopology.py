@@ -777,8 +777,11 @@ class TestLeastCoversAgainstOracles:
         J1 = GrothendieckTopology(C, covers=self.sieves(C, first))
         J2 = GrothendieckTopology(C, covers=self.sieves(C, second))
         valid = oracles.topology_ok(C, first)
+        report = check_axioms(J1)
         # a rejection runs the full passes, so the decision is tested alone too
-        assert self.decided(J1) == check_axioms(J1).ok == valid
+        assert self.decided(J1) == report.ok == valid
+        listed = [(v.axiom, v.obj, v.sieve.members, v.arrow, v.detail) for v in report.violations]
+        assert listed == oracles.axiom_violations(C, first)
         least = {x: functools.reduce(frozenset.intersection, cov) for x, cov in first.items() if cov}
         if len(least) == len(first):  # the same sieves, held as a basis
             basis = GrothendieckTopology(C, basis=lambda x: (sieve_closure(C, x, least[x]),))

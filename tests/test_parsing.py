@@ -320,7 +320,7 @@ def assert_prints_as_listed(C):
     from listed members."""
     for x in C.objects:
         for S in sieve_universe(C, x):
-            assert sieve_literal(C, S) == oracles.member_literal(C, S)
+            assert sieve_literal(C, S) == oracles.member_literal(C, S.members)
     tops = [build_topology(C, k, verify=False)[0] for k in KINDS]  # basis form, covers not yet listed
     for J in tops:
         text = serialize_topology(J)
@@ -370,12 +370,12 @@ class TestPrintedFormAgainstOracle:
     def test_finset_files_print_arrow_labels(self, C):
         for x in C.objects:
             for S in sieve_universe(C, x):
-                assert sieve_literal(C, S) == oracles.member_literal(C, S)
+                assert sieve_literal(C, S) == oracles.member_literal(C, S.members)
         J = build_topology(C, "discrete", verify=False)[0]
         lines = serialize_topology(J).splitlines()[1:]
         expected = []
         for x in sorted(C.objects, key=str):
-            literals = [oracles.member_literal(C, S) for S in sieve_universe(C, x) if S is not maximal_sieve(C, x)]
+            literals = [oracles.member_literal(C, S.members) for S in sieve_universe(C, x) if S is not maximal_sieve(C, x)]
             expected += [f"cover {x} : {lit}" for lit in sorted(literals, key=lambda s: (len(s), s))]
         assert lines == expected
 
