@@ -244,23 +244,14 @@ def parse_category_file(text: str, filename: str = "<string>") -> FinCategory:
         else:
             r.error("syntax", f"unrecognized declaration {toks[0]!r}", lineno, line, toks[0], _col(line, 0))
     table = {}
-    ident = {x: f"id_{x}" for x in seen_objects}
+    ends = {f"id_{x}": (x, x) for x in seen_objects} | arrows  # no arrow id starts with id_
     for lineno, line, g, f, h in compose_decls:
-        missing = [(i, a) for i, a in ((1, g), (3, f), (5, h)) if a not in arrows and a not in set(ident.values())]
+        missing = [(i, a) for i, a in ((1, g), (3, f), (5, h)) if a not in ends]
         if missing:
             i, a = missing[0]
             r.error("unknown-arrow", f"compose line references unknown arrow {a!r}", lineno, line, a, _col(line, i))
             continue
-
-        def endpoints(a):
-            if a in arrows:
-                return arrows[a]
-            x = a[3:]
-            return (x, x)
-
-        fd, fc = endpoints(f)
-        gd, gc = endpoints(g)
-        hd, hc = endpoints(h)
+        (fd, fc), (gd, gc), (hd, hc) = ends[f], ends[g], ends[h]
         if fc != gd:
             r.error("ill-typed-compose", f"cod({f!r}) is {fc!r} but dom({g!r}) is {gd!r}", lineno, line, g, _col(line, 1))
             continue
