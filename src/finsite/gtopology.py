@@ -17,10 +17,10 @@ and Moerdijk, *Sheaves in Geometry and Logic*, III.2).  So a topology is
 generated one least cover per object, with one pullback per arrow and no
 sieve universe (``_closed``), and it is valid iff generating from its
 least covers changes none of them; only a failing verdict runs the
-stability and transitivity passes over every cover, to report each
-violation.  A sieve's classes are the int mask kept by
-``finsite.sieves`` (bit i = class i), so the conditions in this module
-are ``&``, ``|`` and ``a & ~b == 0`` on masks.
+report pass, which pulls every sieve back once along each arrow into its
+object.  A sieve's classes are the int mask kept by ``finsite.sieves``
+(bit i = class i), so the conditions in this module are ``&``, ``|`` and
+``a & ~b == 0`` on masks.
 """
 
 from __future__ import annotations
@@ -321,10 +321,11 @@ def check_axioms(J: GrothendieckTopology, sieve_cap: int = DEFAULT_SIEVE_CAP) ->
     A topology passes on its least covers: ``_least_covers`` finds them
     and ``_closed`` keeps them all, so verifying one lists no sieve
     universe and needs no cap.  Anything else, and any input on which that
-    decision hits a cap, runs the passes over every cover, which report
-    each violation.  Their transitivity pass quantifies the forced sieve
-    over the full universe at each object, so the per-object sieve cap
-    applies to a failing topology.
+    decision hits a cap, runs one report pass over the sieve universe at
+    each object, under the sieve cap.  It pulls each sieve T back once
+    along each arrow into its object, and reports a cover T with a pullback
+    that is no cover, and a non-cover T that the first cover (a union of
+    classes) holding none of the arrows along which T fails forces.
     """
     C = J.category
     try:
@@ -334,7 +335,7 @@ def check_axioms(J: GrothendieckTopology, sieve_cap: int = DEFAULT_SIEVE_CAP) ->
         if least is not None and _closed(C, least) == least:
             return AxiomReport(True, ())
     except FinsiteError:
-        pass  # the passes that follow decide on their own, and raise what they hit
+        pass  # the report that follows decides on its own, and raises what it hits
     objs = sorted(C.objects, key=str)
     violations = []
     covers = {x: J.covers(x) for x in C.objects}
@@ -345,27 +346,31 @@ def check_axioms(J: GrothendieckTopology, sieve_cap: int = DEFAULT_SIEVE_CAP) ->
         malformed = {S: why for S in covers[x] if (why := _not_on(C, x, S))}
         for S in sorted(malformed, key=lambda S: (str(S.base), sieve_literal(S._space.C, S))):
             violations.append(AxiomViolation("well-formed", x, S, None, f"{malformed[S]} stored at {x!r}"))
-        if malformed:  # the other passes see only the sieves on x
+        if malformed:  # the report pass sees only the sieves on x
             covers[x] = covers[x].difference(malformed)
     into = {x: C.arrows_into(x) for x in objs}  # a hom cap is hit before any pullback
     held = {x: {S._ideal for S in covers[x]} for x in objs}  # the covers' masks
+    forced = []  # the transitivity lines, which follow every stability line
     for x in objs:
-        for S in sorted_sieves(C, covers[x]):
+        space, universe = _sieves_on(C, x), sieve_universe(C, x, sieve_cap)
+        cov = [S for S in universe if S._ideal in held[x]]
+        for T in universe:
+            covered, bad = T._ideal in held[x], 0  # bad: the classes of the arrows along which T fails
             for h in into[x]:
-                d = C.dom(h)
-                if (pulled := _sieves_on(C, d).pulled(h, S)) not in held[d]:
-                    detail = f"pullback {sieve_literal(C, _sieves_on(C, d).sieve(pulled))} is not a cover at {d!r}"
-                    violations.append(AxiomViolation("stability", x, S, h, detail))
-    for x in objs:
-        cov = sorted_sieves(C, covers[x])
-        for R in sieve_universe(C, x, sieve_cap):
-            if R in covers[x]:
+                at = _sieves_on(C, C.dom(h))
+                if (pulled := at.pulled(h, T)) not in held[at.x]:
+                    bad |= 1 << space.class_of(h)
+                    if covered:
+                        detail = f"pullback {sieve_literal(C, at.sieve(pulled))} is not a cover at {at.x!r}"
+                        violations.append(AxiomViolation("stability", x, T, h, detail))
+            if covered:
                 continue
-            for S in cov:  # the first cover along whose members R pulls back to covers
-                if all(_sieves_on(C, d := C.dom(h)).pulled(h, R) in held[d] for h in S.members):
+            for S in cov:  # the first cover that holds no arrow along which T fails, a union of classes
+                if not S._ideal & bad:
                     detail = f"forced by cover {sieve_literal(C, S)} but not a cover"
-                    violations.append(AxiomViolation("transitivity", x, R, None, detail))
+                    forced.append(AxiomViolation("transitivity", x, T, None, detail))
                     break
+    violations += forced
     return AxiomReport(not violations, tuple(violations))
 
 

@@ -156,16 +156,13 @@ def sorted_sieves(C, sieves) -> list:
         return sieves
     space = _sieves_on(C, sieves[0].base)
     keys = space._order_keys
-    try:
-        return sorted(sieves, key=keys.__getitem__)
-    except KeyError:  # a sieve not ordered before
-        for S in sieves:
-            if S not in keys:
-                why = _not_on(C, space.x, S)
-                if why:
-                    raise StructuralError(f"a {why} cannot be ordered among the sieves on {space.x!r}") from None
-                keys[S] = space.order_key(S._ideal)
-        return sorted(sieves, key=keys.__getitem__)
+    for S in sieves:
+        if S not in keys:  # a sieve not ordered before
+            why = _not_on(C, space.x, S)
+            if why:
+                raise StructuralError(f"a {why} cannot be ordered among the sieves on {space.x!r}")
+            keys[S] = space.order_key(S._ideal)
+    return sorted(sieves, key=keys.__getitem__)
 
 
 def sieve_literal(C, S: Sieve) -> str:
@@ -334,10 +331,9 @@ class _TableClasses(_ObjectSieves):
         except KeyError as e:
             raise _no_composite(*e.args[0]) from None
         super().__init__(C, x, list(by_key))
-        self.classes = [frozenset(arrows) for arrows in by_key.values()]  # their unions reuse stored hashes
         self._reps = [arrows[0] for arrows in by_key.values()]
-        self._class_of = {a: i for i, cls in enumerate(self.classes) for a in cls}
-        self.sizes = list(map(len, self.classes))
+        self._class_of = {a: i for i, arrows in enumerate(by_key.values()) for a in arrows}
+        self.sizes = list(map(len, by_key.values()))
         self._labels = self._positions = None  # built for the first literal
 
     @property
@@ -364,7 +360,9 @@ class _TableClasses(_ObjectSieves):
         return [class_of(table[h, r]) for r in self._reps]
 
     def members(self, ideal: int) -> frozenset:
-        return frozenset().union(*itertools.compress(self.classes, _flags(ideal)))
+        """The arrows into x of the classes in ``ideal``, for API reads."""
+        class_of = self._class_of
+        return frozenset(a for a in self.C.arrows_into(self.x) if ideal >> class_of[a] & 1)
 
     def literal(self, ideal: int) -> str:
         """The labels of the arrows of ``ideal``'s classes, picked from
@@ -372,7 +370,7 @@ class _TableClasses(_ObjectSieves):
         classes' position masks (bit p = the p-th arrow into x)."""
         if self._labels is None:
             into, class_of = self.C.arrows_into(self.x), self._class_of
-            self._positions = [0] * len(self.classes)
+            self._positions = [0] * len(self.keys)
             for p, a in enumerate(into):
                 self._positions[class_of[a]] |= 1 << p
             self._labels = list(map(self.C.arrow_label, into))

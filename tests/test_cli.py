@@ -337,8 +337,25 @@ class TestUndecodableInput:
 
 
 class TestPrintingListsNoArrows:
-    """Topology files and the axiom check that passes list no sieve's
-    arrows on a table category: literals are printed from class masks."""
+    """Topology files and the axiom check list no sieve's arrows on a table
+    category: literals are printed from class masks, and a failing report
+    compares class masks."""
+
+    @pytest.fixture()
+    def listed(self, monkeypatch):
+        calls, members = [], _TableClasses.members
+        monkeypatch.setattr(_TableClasses, "members", lambda self, ideal: calls.append(ideal) or members(self, ideal))
+        return calls
+
+    def test_check_topology_on_broken12(self, d12_file, listed):
+        code, report = run("check-topology", category=d12_file, topology=str(FIXTURES / "broken12.gtop"))
+        assert code == 1 and report + "\n" == (FIXTURES / "broken12.report").read_text()
+        assert listed == []
+
+    def test_check_topology_on_a_broken_d720(self, broken720, listed):
+        code, report = run("check-topology", **broken720)
+        assert code == 1 and report.startswith("check-topology broken on D_720: fail (2 violations)\n")
+        assert listed == []
 
     def test_d360_make_topology_meet_and_join(self, tmp_path, monkeypatch):
         cat = tmp_path / "d360.cat"

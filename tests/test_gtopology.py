@@ -851,8 +851,8 @@ class TestLeastCoverCounts:
         assert pullbacks == []
 
     def test_a_failing_topology_pulls_every_cover_back_through_one_method(self, monkeypatch):
-        # the stability pass pulls each cover back along each arrow into its
-        # object, and the transitivity pass pulls sieves back along members
+        # the report pass pulls each sieve back along each arrow into its
+        # object, covers included
         C = parse_category_file((FIXTURES / "d12.cat").read_text())
         J, _ = parse_topology_file((FIXTURES / "broken12.gtop").read_text(), C, verify=False)
         calls = []
@@ -931,6 +931,23 @@ def test_finset_universes_on_objects_that_print_alike_ignore_the_hash_seed():
     outs = outputs_under_two_hash_seeds(script)
     assert outs[0] == outs[1]
     assert "Sieve(base=1, classes=(0, 3), size=3) {1->1[0,0], 1->1[0,0], e->1[]}\n" in outs[0]
+
+
+def test_a_failing_report_pulls_back_alike_under_every_hash_seed(broken720):
+    # each sieve is pulled back once along each arrow into its object,
+    # whatever order a set of sieves iterates in
+    script = "\n".join([
+        "from finsite.cli import CommandRequest, run_command",
+        "from finsite.sieves import _ObjectSieves",
+        "calls, pulled = [], _ObjectSieves.pulled",
+        "_ObjectSieves.pulled = lambda self, h, S: calls.append(h) or pulled(self, h, S)",
+        f"print(*run_command(CommandRequest('check-topology', {broken720!r})), len(calls), sep='\\n')",
+    ])
+    outs = outputs_under_two_hash_seeds(script)
+    assert outs[0] == outs[1]
+    code, first, *_, calls = outs[0].splitlines()
+    assert (code, first) == ("1", "check-topology broken on D_720: fail (2 violations)")
+    assert int(calls) <= 60000
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
