@@ -341,18 +341,11 @@ class TestPrintingListsNoArrows:
     category: literals are printed from class masks, and a failing report
     compares class masks."""
 
-    @pytest.fixture()
-    def listed(self, monkeypatch):
-        calls, members = [], _TableClasses.members
-        monkeypatch.setattr(_TableClasses, "members", lambda self, ideal: calls.append(ideal) or members(self, ideal))
-        return calls
-
-    def test_check_topology_on_broken12(self, d12_file, listed):
+    def test_check_topology_on_broken12_and_a_broken_d720(self, d12_file, broken720, monkeypatch):
+        listed, members = [], _TableClasses.members
+        monkeypatch.setattr(_TableClasses, "members", lambda self, ideal: listed.append(ideal) or members(self, ideal))
         code, report = run("check-topology", category=d12_file, topology=str(FIXTURES / "broken12.gtop"))
         assert code == 1 and report + "\n" == (FIXTURES / "broken12.report").read_text()
-        assert listed == []
-
-    def test_check_topology_on_a_broken_d720(self, broken720, listed):
         code, report = run("check-topology", **broken720)
         assert code == 1 and report.startswith("check-topology broken on D_720: fail (2 violations)\n")
         assert listed == []

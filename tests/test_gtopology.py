@@ -778,7 +778,7 @@ class TestLeastCoversAgainstOracles:
         J2 = GrothendieckTopology(C, covers=self.sieves(C, second))
         valid = oracles.topology_ok(C, first)
         report = check_axioms(J1)
-        # a rejection runs the full passes, so the decision is tested alone too
+        # a rejection runs the report pass, so the decision is tested alone too
         assert self.decided(J1) == report.ok == valid
         listed = [(v.axiom, v.obj, v.sieve.members, v.arrow, v.detail) for v in report.violations]
         assert listed == oracles.axiom_violations(C, first)
