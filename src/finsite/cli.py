@@ -12,7 +12,6 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .algebra import (
     GroupObjectWitness,
@@ -93,9 +92,14 @@ def _caps(opts):
 
 def _parse(parse, path, *args, **kwargs):
     """``parse(text, *args, path, **kwargs)`` on the text of the file at
-    ``path``; one that is not UTF-8 is a ``StructuralError`` naming it."""
+    ``path``, read as bytes and decoded as UTF-8 once; one that is not
+    UTF-8 is a ``StructuralError`` naming it.  Line ends are left to the
+    parser, which splits lines as ``str.splitlines`` does, so CRLF and CR
+    files read as LF ones do."""
+    with open(path, "rb", buffering=0) as f:
+        data = f.read()
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as e:
         raise StructuralError(f"{path} is not UTF-8 text: {e}") from None
     return parse(text, *args, path, **kwargs)
@@ -126,9 +130,12 @@ def _refuse(opts, why, *keys):
 
 
 def _emit(opts, text):
+    """Write ``text`` to the ``--output`` file as UTF-8, whatever the
+    locale, or return it as the report."""
     out = opts.get("output")
     if out:
-        Path(out).write_text(text)
+        with open(out, "wb") as f:
+            f.write(text.encode("utf-8"))
         return [f"wrote {out}"]
     return [text.rstrip("\n")]
 
@@ -237,18 +244,17 @@ def _cmd_enumerate(opts, caps):
     return 0, lines
 
 
-def _cmd_meet(opts, caps):
+def _load_pair(opts, caps):
     C = _load_category(opts)
-    J1, _ = _load_topology(opts, C, caps)
-    J2, _ = _load_topology(opts, C, caps, key="topology2")
-    return 0, _emit(opts, serialize_topology(meet(J1, J2)))
+    return _load_topology(opts, C, caps)[0], _load_topology(opts, C, caps, key="topology2")[0]
+
+
+def _cmd_meet(opts, caps):
+    return 0, _emit(opts, serialize_topology(meet(*_load_pair(opts, caps))))
 
 
 def _cmd_join(opts, caps):
-    C = _load_category(opts)
-    J1, _ = _load_topology(opts, C, caps)
-    J2, _ = _load_topology(opts, C, caps, key="topology2")
-    return 0, _emit(opts, serialize_topology(join(J1, J2, sieve_cap=caps["sieves"])))
+    return 0, _emit(opts, serialize_topology(join(*_load_pair(opts, caps), sieve_cap=caps["sieves"])))
 
 
 def _cmd_find_objects(opts, caps):

@@ -87,13 +87,13 @@ class FinCategory:
                 raise StructuralError(f"no identity arrow recorded for object {x!r}")
             if self._identity[x] not in self._arrows:
                 raise StructuralError(f"identity of {x!r} is a dangling arrow id")
+        arrows = self._arrows
         for (g, f), h in self._table.items():
-            for a in (g, f, h):
-                if a not in self._arrows:
-                    raise StructuralError(f"composition entry references unknown arrow {a!r}")
-            fd, fc = self._arrows[f]
-            gd, gc = self._arrows[g]
-            hd, hc = self._arrows[h]
+            try:
+                (fd, fc), (gd, gc), (hd, hc) = arrows[f], arrows[g], arrows[h]
+            except KeyError:
+                a = next(a for a in (g, f, h) if a not in arrows)
+                raise StructuralError(f"composition entry references unknown arrow {a!r}") from None
             if fc != gd:
                 raise StructuralError(f"composition ({g!r} . {f!r}) is not composable: cod {fc!r} != dom {gd!r}")
             if (hd, hc) != (fd, gc):

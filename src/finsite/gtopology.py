@@ -544,11 +544,12 @@ def generate_topology(C, seed: Mapping, sieve_cap: int = DEFAULT_SIEVE_CAP) -> G
     for x, sieves in seed.items():
         if not C.has_object(x):
             raise StructuralError(f"seed mentions unknown object {x!r}")
+        space, ideal = _sieves_on(C, x), least[x]._ideal
         for S in sieves:
-            why = _not_on(C, x, S)
-            if why:
-                raise StructuralError(f"seed {why} filed under {x!r}")
-            least[x] = _sieves_on(C, x).sieve(least[x]._ideal & S._ideal)
+            if S._space is not space:  # then _not_on says why
+                raise StructuralError(f"seed {_not_on(C, x, S)} filed under {x!r}")
+            ideal &= S._ideal
+        least[x] = space.sieve(ideal)
     least = _closed(C, least)
     return GrothendieckTopology(C, name="generated", basis=lambda x: (least[x],), sieve_cap=sieve_cap)
 

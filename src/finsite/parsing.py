@@ -42,6 +42,7 @@ from .gtopology import GrothendieckTopology, check_axioms
 from .sieves import Sieve, _sieves_on, maximal_sieve
 
 _ID = re.compile(r"^[\w()|.*+\-]+$")
+_valid_id = _ID.match  # a match, so true, iff the token is an id
 _COVER = re.compile(r"^\s*cover\s+(\S+)\s*:\s*\{(.*)\}\s*$")
 _LITERAL = re.compile(r"^\s*\{(.*)\}\s*$")
 _WORD = re.compile(r"\S+")
@@ -82,7 +83,7 @@ class _Reader:
         self.lines = []
         for i, raw in enumerate(text.splitlines(), start=1):
             stripped = raw.split("#", 1)[0].rstrip()
-            if stripped.strip():
+            if stripped:  # rstripped, so it ends in a non-space
                 self.lines.append((i, stripped))
 
     def span(self, lineno, text, part=None, col=None):
@@ -100,10 +101,6 @@ class _Reader:
     def fail_if_errors(self):
         if self.diagnostics:
             raise ParseFailure(self.diagnostics)
-
-
-def _valid_id(tok: str) -> bool:
-    return bool(_ID.match(tok))
 
 
 def _col(line: str, i: int) -> int:
@@ -154,9 +151,8 @@ def _read_sieve(r, lineno, line, labels, x, body, start):
     ``sieve_closure`` gives it: one dict lookup and one OR per label.
     None, with a diagnostic for each label that names no arrow into x,
     when there is such a label."""
-    toks = [t for t in map(str.strip, body.split(",")) if t]
     masks, ideal = labels.masks(x), 0
-    for t in toks:
+    for t in filter(None, map(str.strip, body.split(","))):
         mask = masks.get(t)
         if mask is None:
             break
@@ -202,32 +198,24 @@ def parse_category_file(text: str, filename: str = "<string>") -> FinCategory:
         r.error("missing-header", "expected 'category <name>' as the first declaration", lineno, line)
         r.fail_if_errors()
     name = head[1]
-    objects: list = []
-    seen_objects: set = set()
+    objects: dict = {}  # in order of first mention
     arrows: dict = {}
-    arrow_lines: dict = {}
     compose_decls: list = []
-
-    def add_object(obj, lineno, line, explicit):
-        if explicit and obj in seen_objects:
-            r.error("duplicate-object", f"object {obj!r} declared twice", lineno, line, obj, _col(line, 1))
-            return
-        if obj not in seen_objects:
-            seen_objects.add(obj)
-            objects.append(obj)
-
     for lineno, line in r.lines[1:]:
         toks = line.split()
         if toks[0] == "object" and len(toks) == 2:
-            if not _valid_id(toks[1]):
-                r.error("syntax", f"invalid object id {toks[1]!r}", lineno, line, toks[1], _col(line, 1))
-                continue
-            add_object(toks[1], lineno, line, explicit=True)
+            obj = toks[1]
+            if not _valid_id(obj):
+                r.error("syntax", f"invalid object id {obj!r}", lineno, line, obj, _col(line, 1))
+            elif obj in objects:
+                r.error("duplicate-object", f"object {obj!r} declared twice", lineno, line, obj, _col(line, 1))
+            else:
+                objects[obj] = None
         elif toks[0] == "arrow" and len(toks) == 6 and toks[2] == ":" and toks[4] == "->":
             aid, dom, cod = toks[1], toks[3], toks[5]
-            bad = [i for i in (1, 3, 5) if not _valid_id(toks[i])]
-            if bad:
-                r.error("syntax", f"invalid id {toks[bad[0]]!r}", lineno, line, toks[bad[0]], _col(line, bad[0]))
+            if not (_valid_id(aid) and _valid_id(dom) and _valid_id(cod)):
+                i = next(i for i in (1, 3, 5) if not _valid_id(toks[i]))
+                r.error("syntax", f"invalid id {toks[i]!r}", lineno, line, toks[i], _col(line, i))
                 continue
             if aid.startswith("id_"):
                 r.error("reserved-id", f"arrow id {aid!r} uses the reserved identity prefix", lineno, line, aid, _col(line, 1))
@@ -235,23 +223,22 @@ def parse_category_file(text: str, filename: str = "<string>") -> FinCategory:
             if aid in arrows:
                 r.error("duplicate-arrow", f"arrow {aid!r} declared twice", lineno, line, aid, _col(line, 1))
                 continue
-            add_object(dom, lineno, line, explicit=False)
-            add_object(cod, lineno, line, explicit=False)
+            objects.setdefault(dom)
+            objects.setdefault(cod)
             arrows[aid] = (dom, cod)
-            arrow_lines[aid] = (lineno, line)
         elif toks[0] == "compose" and len(toks) == 6 and toks[2] == "." and toks[4] == "=":
             compose_decls.append((lineno, line, toks[1], toks[3], toks[5]))
         else:
             r.error("syntax", f"unrecognized declaration {toks[0]!r}", lineno, line, toks[0], _col(line, 0))
     table = {}
-    ends = {f"id_{x}": (x, x) for x in seen_objects} | arrows  # no arrow id starts with id_
+    ends = {f"id_{x}": (x, x) for x in objects} | arrows  # no arrow id starts with id_
     for lineno, line, g, f, h in compose_decls:
-        missing = [(i, a) for i, a in ((1, g), (3, f), (5, h)) if a not in ends]
-        if missing:
-            i, a = missing[0]
+        try:
+            (fd, fc), (gd, gc), (hd, hc) = ends[f], ends[g], ends[h]
+        except KeyError:
+            i, a = next((i, a) for i, a in ((1, g), (3, f), (5, h)) if a not in ends)
             r.error("unknown-arrow", f"compose line references unknown arrow {a!r}", lineno, line, a, _col(line, i))
             continue
-        (fd, fc), (gd, gc), (hd, hc) = ends[f], ends[g], ends[h]
         if fc != gd:
             r.error("ill-typed-compose", f"cod({f!r}) is {fc!r} but dom({g!r}) is {gd!r}", lineno, line, g, _col(line, 1))
             continue
@@ -325,7 +312,7 @@ def parse_topology_file(
         if not m:
             r.error("syntax", "expected 'cover <object> : {<arrows>}'", lineno, line)
             continue
-        obj_tok, body = m.group(1), m.group(2)
+        obj_tok, body = m.groups()
         x = labels.objects.get(obj_tok)
         if x is None:
             r.error("unknown-object", f"unknown object {obj_tok!r}", lineno, line, obj_tok, m.start(1))
@@ -343,7 +330,9 @@ def serialize_topology(J: GrothendieckTopology) -> str:
     """The topology file of J, each cover printed from its mask
     (``_ObjectSieves.literal``): a cover set J holds from each sieve's own
     object, and covers not yet listed from the up-set masks of J's minimal
-    covers, under J's sieve cap."""
+    covers, under J's sieve cap.  The literals at each object are sorted
+    by length, then text: by text, then stably by ``len``, so no key is
+    computed in Python."""
     C = J.category
     name = re.sub(r"[^\w()|.*+\-]", "-", J.name) if J.name else "topology"
     lines = [f"topology {name} on {C.name}"]
@@ -356,8 +345,9 @@ def serialize_topology(J: GrothendieckTopology) -> str:
         else:
             tx = maximal_sieve(C, x)
             literals = [S._space.literal(S._ideal) for S in covers if S is not tx]
-        for lit in sorted(literals, key=lambda s: (len(s), s)):
-            lines.append(f"cover {x} : {lit}")
+        literals.sort()
+        literals.sort(key=len)  # stable: by length, then text
+        lines += [f"cover {x} : {lit}" for lit in literals]
     return "\n".join(lines) + "\n"
 
 
@@ -384,11 +374,10 @@ def _parse_cone(tok, col, labels, r, lineno, line):
 
 def parse_witness_file(text: str, C, filename: str = "<string>", candidate_cap: int = DEFAULT_CANDIDATE_CAP):
     r = _Reader(text, filename)
-    decls = [(ln, l) for ln, l in r.lines]
-    if len(decls) != 1:
-        r.error("syntax", "expected exactly one witness declaration", decls[0][0] if decls else 1, decls[0][1] if decls else "")
+    if len(r.lines) != 1:
+        r.error("syntax", "expected exactly one witness declaration", *(r.lines[0] if r.lines else (1, "")))
         r.fail_if_errors()
-    lineno, line = decls[0]
+    lineno, line = r.lines[0]
     toks = line.split()
     kind = toks[0] if toks else ""
     if kind not in ("monoid", "group") or len(toks) < 2:

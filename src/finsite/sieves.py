@@ -367,15 +367,19 @@ class _TableClasses(_ObjectSieves):
     def literal(self, ideal: int) -> str:
         """The labels of the arrows of ``ideal``'s classes, picked from
         ``C.arrows_into(x)``, which lists them by label, by the OR of the
-        classes' position masks (bit p = the p-th arrow into x)."""
+        classes' position masks (bit p = the p-th arrow into x).  Where
+        every class is one arrow, class i is the i-th arrow, as classes
+        are numbered by their first arrows, so ``ideal`` is that mask."""
         if self._labels is None:
             into, class_of = self.C.arrows_into(self.x), self._class_of
-            self._positions = [0] * len(self.keys)
-            for p, a in enumerate(into):
-                self._positions[class_of[a]] |= 1 << p
             self._labels = list(map(self.C.arrow_label, into))
-        positions = sum(itertools.compress(self._positions, _flags(ideal)))  # the classes are disjoint
-        return "{" + ", ".join(itertools.compress(self._labels, _flags(positions))) + "}"
+            if len(into) > len(self.keys):  # some class holds two arrows
+                self._positions = [0] * len(self.keys)
+                for p, a in enumerate(into):
+                    self._positions[class_of[a]] |= 1 << p
+        if self._positions is not None:
+            ideal = sum(itertools.compress(self._positions, _flags(ideal)))  # the classes are disjoint
+        return "{" + ", ".join(itertools.compress(self._labels, _flags(ideal))) + "}"
 
 
 def _surjections(m: int, k: int) -> int:

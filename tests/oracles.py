@@ -129,6 +129,27 @@ def pullback_members(C, h, S) -> frozenset:
     return frozenset(g for g in C.arrows_into(C.dom(h)) if C.compose(h, g) in S)
 
 
+def continuity_witness(C, f, covers):
+    """The first sieve in ``position_order`` among the covers at dom(f)
+    that is no pullback along f of a cover at cod(f), or None when f is
+    continuous; ``covers`` maps each object to a set of sieves on it, as
+    arrow sets, and every pullback is found by composing."""
+    pulled = {pullback_members(C, f, S) for S in covers[C.cod(f)]}
+    failing = [S for S in covers[C.dom(f)] if S not in pulled]
+    return position_order(C, failing)[0] if failing else None
+
+
+def initial_sieves(C, x, family) -> set[frozenset]:
+    """The sieves on x that are a pullback along every arrow f of
+    ``family`` (pairs of f, out of x, and a set of sieves on cod(f), as
+    arrow sets) of one of f's sieves: every sieve on x for the empty
+    family."""
+    out = sieves_on(C, x)
+    for f, sieves in family:
+        out &= {pullback_members(C, f, S) for S in sieves}
+    return out
+
+
 def topology_ok(C, covers) -> bool:
     """Whether ``covers`` (object -> set of sieves on it) is a Grothendieck
     topology: the maximal sieve covers, every pullback of a cover along an

@@ -1,8 +1,15 @@
+import builtins
+import io
+import os
+import subprocess
+import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import finsite
 from finsite import cli, gtopology
 from finsite.cli import CommandRequest, main, run_command
 from finsite.sieves import _TableClasses
@@ -334,6 +341,99 @@ class TestUndecodableInput:
         bad = _not_utf8(tmp_path, "bad.cat")
         assert main(["validate", "--category", bad]) == 2
         assert capsys.readouterr().out.startswith(f"error: {bad} is not UTF-8 text: ")
+
+
+# a category and a topology file with bad lines, comments and spaces, so
+# that diagnostics carry spans past the first column
+_BAD_CAT = "category bad  # c\nobject a\n  arrow f : a -> b\narrow g : a => b\n\ncompose f . h = f\n"
+_BAD_TOP = "topology t on D_12\ncover 12 : {1|12,  nope}\n  cover 6 :  {3|12}  # c\n"
+
+
+class TestFileEncoding:
+    """Input files are read as bytes and decoded as UTF-8 once, and written
+    files are UTF-8 whatever the locale.  Lines are split as
+    ``str.splitlines`` splits them, so CRLF and lone-CR files give the
+    reports and spans of their LF originals."""
+
+    def test_written_files_do_not_depend_on_the_locale(self, tmp_path):
+        (tmp_path / "a.cat").write_bytes("category A\nobject α\n".encode())
+        (tmp_path / "b.cat").write_bytes("category B\nobject β\n".encode())
+        src = str(Path(finsite.__file__).parents[1])
+        env = {**os.environ, "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C", "PYTHONPATH": src}
+        for argv in (["make-category", "--product", "a.cat", "b.cat", "-o", "out.cat"], ["validate", "--category", "out.cat"]):
+            done = subprocess.run([sys.executable, "-m", "finsite.cli", *argv], cwd=tmp_path, env=env, capture_output=True)
+            assert (done.returncode, done.stderr) == (0, b"")
+        assert (tmp_path / "out.cat").read_bytes() == "category AxB\nobject α*β\n".encode()
+
+    @pytest.mark.parametrize(
+        "verb, files, code",
+        [
+            ("validate", {"category": "d12.cat"}, 0),
+            ("check-topology", {"category": "d12.cat", "topology": "dense12.gtop"}, 0),
+            ("check-topology", {"category": "d12.cat", "topology": "broken12.gtop"}, 1),
+            ("check-object", {"category": "d12.cat", "witness": "top12.wit"}, 0),
+            ("validate", {"category": _BAD_CAT}, 2),
+            ("check-topology", {"category": "d12.cat", "topology": _BAD_TOP}, 2),
+        ],
+    )
+    def test_crlf_and_cr_files_read_as_lf_ones(self, tmp_path, verb, files, code):
+        reports = {}
+        for end in ("\n", "\r\n", "\r"):
+            where = tmp_path / repr(end)[1:-1]
+            where.mkdir()
+            opts = {}
+            for flag, name in files.items():
+                text = name if "\n" in name else (FIXTURES / name).read_text()  # a fixture, or a file's text
+                (where / flag).write_bytes(text.replace("\n", end).encode())
+                opts[flag] = str(where / flag)
+            got, report = run(verb, **opts)
+            reports[end] = (got, report.replace(str(where), "<dir>"))
+        assert reports["\n"][0] == code
+        assert reports["\r\n"] == reports["\r"] == reports["\n"]
+
+    def test_bad_lines_give_spans(self, tmp_path):
+        (tmp_path / "bad.cat").write_text(_BAD_CAT)
+        assert run("validate", category=str(tmp_path / "bad.cat"))[1].replace(str(tmp_path), "<dir>") == (
+            "<dir>/bad.cat:4:1-5: [syntax] unrecognized declaration 'arrow'\n"
+            "<dir>/bad.cat:6:13-13: [unknown-arrow] compose line references unknown arrow 'h'"
+        )
+
+    def test_a_byte_order_mark_is_text(self, tmp_path, d12_file):
+        # the first line then holds U+FEFF: no header, and no comment
+        for name in ("d12.cat", "j3-d12.gtop"):
+            (tmp_path / name).write_bytes(b"\xef\xbb\xbf" + (FIXTURES / name).read_bytes())
+        assert run("validate", category=str(tmp_path / "d12.cat")) == (
+            2, f"{tmp_path}/d12.cat:1:1-14: [missing-header] expected 'category <name>' as the first declaration"
+        )
+        assert run("check-topology", category=d12_file, topology=str(tmp_path / "j3-d12.gtop")) == (
+            2, f"{tmp_path}/j3-d12.gtop:1:1-1: [missing-header] expected 'topology <name> on <category>'"
+        )
+
+
+class TestPerCallCounts:
+    """A meet or a join CLI call parses its category once, reads each input
+    file once and builds the class table of each object at most once."""
+
+    @pytest.mark.parametrize("verb", ["meet", "join"])
+    def test_on_d12(self, d12_file, monkeypatch, verb):
+        reads, parses, tables = Counter(), [], Counter()
+        opened = builtins.open
+
+        def counted(file, *args, **kwargs):
+            reads[str(file)] += 1
+            return opened(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counted)
+        monkeypatch.setattr(io, "open", counted)
+        parse, init = cli.parse_category_file, _TableClasses.__init__
+        monkeypatch.setattr(cli, "parse_category_file", lambda *a, **k: parses.append(a) or parse(*a, **k))
+        monkeypatch.setattr(_TableClasses, "__init__", lambda self, C, x: tables.update([x]) or init(self, C, x))
+        files = {"category": d12_file, "topology": str(FIXTURES / "dense12.gtop"), "topology2": str(FIXTURES / "j3-d12.gtop")}
+        code, report = run(verb, **files)
+        assert code == 0 and report.startswith(f"topology {verb}(")
+        assert reads == Counter(files.values())
+        assert len(parses) == 1
+        assert set(tables.values()) == {1} and len(tables) <= 6
 
 
 class TestPrintingListsNoArrows:

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finsite.continuity import (
     LocalTopology,
@@ -27,6 +29,9 @@ from finsite.gtopology import (
     unclosed_cover,
 )
 from finsite.sieves import maximal_sieve, pullback_sieve, sieve_closure
+from test_gtopology import posets, transformation_monoids
+
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -276,3 +281,45 @@ class TestCoverPreserving:
         J = discrete_topology(d12)
         assert unclosed_cover(J) is None
         assert J._covers == {}
+
+
+# -- continuity and initial topologies against member-level oracles -----
+
+
+class TestAgainstOracles:
+    """``is_continuous``, with its witness, and ``initial_local_topology``
+    against ``oracles.continuity_witness`` and ``oracles.initial_sieves``,
+    which pull listed members back by composing, on random cover sets:
+    half give each object every sieve above one random sieve, half a few
+    random sieves."""
+
+    def check(self, C, data):
+        covers = {}
+        for x in sorted(C.objects, key=str):
+            universe = oracles.position_order(C, oracles.sieves_on(C, x))
+            if data.draw(st.booleans()):
+                least = data.draw(st.sampled_from(universe))
+                covers[x] = {S for S in universe if least <= S}
+            else:
+                covers[x] = set(data.draw(st.lists(st.sampled_from(universe), max_size=4)))
+        J = GrothendieckTopology(C, covers={x: {sieve_closure(C, x, S) for S in cov} for x, cov in covers.items()})
+        for f in C.all_arrows():
+            verdict, witness = is_continuous(C, f, J), oracles.continuity_witness(C, f, covers)
+            assert verdict.ok == (witness is None)
+            assert verdict.ok or verdict.witness.members == witness
+        x = data.draw(st.sampled_from(sorted(C.objects, key=str)))
+        out = [f for f in C.all_arrows() if C.dom(f) == x]
+        family = data.draw(st.lists(st.sampled_from(out), max_size=3))
+        L = initial_local_topology(C, x, [(f, localize(J, C.cod(f))) for f in family])
+        expected = oracles.initial_sieves(C, x, [(f, covers[C.cod(f)]) for f in family])
+        assert {S.members for S in L.sieves} == expected
+
+    @given(posets(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_posets(self, C, data):
+        self.check(C, data)
+
+    @given(transformation_monoids(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_transformation_monoids(self, C, data):
+        self.check(C, data)

@@ -1,3 +1,4 @@
+import itertools
 from pathlib import Path
 
 import pytest
@@ -6,9 +7,9 @@ from hypothesis import strategies as st
 
 from finsite.algebra import GroupObjectWitness, check_group_object
 from finsite.errors import ResourceError
-from finsite.fincat import build_divisor_poset, validate_category
+from finsite.fincat import build_divisor_poset, relabel_category, validate_category
 from finsite.gtopology import GrothendieckTopology, build_topology, dense_topology, join, meet, sieve_universe
-from finsite.sieves import maximal_sieve, sieve_closure, sieve_literal
+from finsite.sieves import _sieves_on, maximal_sieve, sieve_closure, sieve_literal
 from finsite.parsing import (
     ParseFailure,
     parse_category_file,
@@ -353,6 +354,22 @@ class TestPrintedFormAgainstOracle:
     @settings(max_examples=40, deadline=None)
     def test_arrows_whose_ids_print_alike(self, C):
         assert_prints_as_listed(C)
+
+    @given(st.one_of(posets(), transformation_monoids()), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_labels_of_one_or_two_letters(self, C, data):
+        # many literals of one length, which sort by their text
+        moved = [a for a in C.all_arrows() if a != C.identity(C.dom(a))]
+        names = data.draw(st.permutations([*"abcde", *map("".join, itertools.product("abcde", repeat=2))]))
+        rename = dict(zip(moved, names))
+        assert_prints_as_listed(relabel_category(C, obj_fn=lambda x: x, arr_fn=lambda a: rename.get(a, a)))
+
+    def test_swap_which_is_not_thin(self):
+        C = parse_category_file((FIXTURES / "swap.cat").read_text())
+        assert_prints_as_listed(C)
+        # literals at A and B pick arrows by class position masks, and at P,
+        # where each class is one arrow, straight from the class mask
+        assert {x: _sieves_on(C, x)._positions is None for x in C.objects} == {"A": False, "B": False, "P": True}
 
     def test_d360_under_every_kind(self):
         assert_prints_as_listed(build_divisor_poset(360))
