@@ -36,9 +36,9 @@ import re
 from dataclasses import dataclass
 
 from .algebra import GroupObjectWitness, group_witness, monoid_witness
-from .errors import DEFAULT_CANDIDATE_CAP, DEFAULT_SIEVE_CAP, FinsiteError, ResourceError
+from .errors import DEFAULT_CANDIDATE_CAP, FinsiteError, ResourceError
 from .fincat import FinCategory, ProductCone
-from .gtopology import GrothendieckTopology, check_axioms
+from .gtopology import GrothendieckTopology
 from .sieves import Sieve, _sieves_on, maximal_sieve
 
 _ID = re.compile(r"^[\w()|.*+\-]+$")
@@ -230,13 +230,14 @@ def parse_category_file(text: str, filename: str = "<string>") -> FinCategory:
             compose_decls.append((lineno, line, toks[1], toks[3], toks[5]))
         else:
             r.error("syntax", f"unrecognized declaration {toks[0]!r}", lineno, line, toks[0], _col(line, 0))
+    for x in objects:  # after the declared arrows, as in FinCategory.from_data
+        arrows[f"id_{x}"] = (x, x)
     table = {}
-    ends = {f"id_{x}": (x, x) for x in objects} | arrows  # no arrow id starts with id_
     for lineno, line, g, f, h in compose_decls:
         try:
-            (fd, fc), (gd, gc), (hd, hc) = ends[f], ends[g], ends[h]
+            (fd, fc), (gd, gc), (hd, hc) = arrows[f], arrows[g], arrows[h]
         except KeyError:
-            i, a = next((i, a) for i, a in ((1, g), (3, f), (5, h)) if a not in ends)
+            i, a = next((i, a) for i, a in ((1, g), (3, f), (5, h)) if a not in arrows)
             r.error("unknown-arrow", f"compose line references unknown arrow {a!r}", lineno, line, a, _col(line, i))
             continue
         if fc != gd:
@@ -245,15 +246,15 @@ def parse_category_file(text: str, filename: str = "<string>") -> FinCategory:
         if (hd, hc) != (fd, gc):
             r.error("ill-typed-compose", f"composite {h!r} must run {fd!r} -> {gc!r}", lineno, line, h, _col(line, 5))
             continue
-        if g not in arrows or f not in arrows:  # a unit law fixes the composite
-            known = f if g not in arrows else g
+        if g.startswith("id_") or f.startswith("id_"):  # a unit law fixes the composite
+            known = f if g.startswith("id_") else g
         else:  # the first line given for the pair does
             known = table.setdefault((g, f), h)
         if h != known:
             r.error("conflicting-compose", f"{g} . {f} is {known!r}, not {h!r}", lineno, line, h, _col(line, 5))
     r.fail_if_errors()
     try:
-        return FinCategory.from_data(name, objects, arrows, table)
+        return FinCategory._with_units(name, objects, arrows, table)
     except FinsiteError as e:
         raise ParseFailure([Diagnostic("structural", str(e), SourceSpan(filename, 1, 1, 1))]) from e
 
@@ -281,18 +282,10 @@ def serialize_category(C: FinCategory) -> str:
 # -- topologies ----------------------------------------------------------
 
 
-def parse_topology_file(
-    text: str,
-    C,
-    filename: str = "<string>",
-    sieve_cap: int = DEFAULT_SIEVE_CAP,
-    verify: bool = True,
-):
-    """Parse a topology candidate over an already-parsed category.
-
-    Returns ``(topology, report)`` where ``report`` is the axiom verdict
-    (None when ``verify`` is off).
-    """
+def parse_topology_file(text: str, C, filename: str = "<string>") -> GrothendieckTopology:
+    """The topology candidate that ``text`` lists over the already-parsed
+    category C, as explicit cover sets.  It is only parsed: ``check_axioms``
+    gives the verdict on it."""
     r = _Reader(text, filename)
     if not r.lines:
         r.error("missing-header", "expected a 'topology <name> on <category>' header", 1, "")
@@ -321,9 +314,7 @@ def parse_topology_file(
         if S is not None:
             covers[x].add(S)
     r.fail_if_errors()
-    J = GrothendieckTopology(C, name=name, covers=covers)
-    report = check_axioms(J, sieve_cap) if verify else None
-    return J, report
+    return GrothendieckTopology(C, name=name, covers=covers)
 
 
 def serialize_topology(J: GrothendieckTopology) -> str:

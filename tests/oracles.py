@@ -139,6 +139,21 @@ def continuity_witness(C, f, covers):
     return position_order(C, failing)[0] if failing else None
 
 
+def cover_preservation_witness(F, dom_covers, cod_covers):
+    """The first object d of F's domain, in ``str`` order, and the first
+    sieve S in ``position_order`` among ``dom_covers[d]`` whose image is
+    not in ``cod_covers[F(d)]``, or None when every image is there; the
+    image is F(S) closed by composing, every F(a).g for a in S, and sieves
+    are arrow sets."""
+    C, D = F.dom, F.cod
+    for d in sorted(C.objects, key=str):
+        for S in position_order(C, dom_covers[d]):
+            image = frozenset(D.compose(F.arr(a), g) for a in S for g in D.arrows_into(D.dom(F.arr(a))))
+            if image not in cod_covers[F.obj(d)]:
+                return d, S
+    return None
+
+
 def initial_sieves(C, x, family) -> set[frozenset]:
     """The sieves on x that are a pullback along every arrow f of
     ``family`` (pairs of f, out of x, and a set of sieves on cod(f), as

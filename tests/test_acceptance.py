@@ -322,7 +322,7 @@ def test_criterion_9_cli_determinism():
     for cat, name in (("d12.cat", "dense12.gtop"), ("arrow.cat", "j3.gtop")):
         C = parse_category_file((FIXTURES / cat).read_text(), cat)
         text = (FIXTURES / name).read_text()
-        J, _ = parse_topology_file(text, C, name, verify=False)
+        J = parse_topology_file(text, C, name)
         assert serialize_topology(J) == text
     d12 = parse_category_file((FIXTURES / "d12.cat").read_text(), "d12.cat")
     text = (FIXTURES / "top12.wit").read_text()

@@ -2,6 +2,7 @@
 as a change to this file, and the README's table of removed names checked
 against the code."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -79,3 +80,18 @@ def test_traced_names_exist():
     traced = [f"finsite.{m}.{n}" for m, names in tracing.FUNCTIONS.items() for n in names]
     traced += [f"finsite.fincat.{c}.{m}" for c in tracing.CATEGORY_CLASSES for m in tracing.METHODS]
     assert [name for name in traced if not resolves(name)] == []
+
+
+def test_no_module_draws_at_random():
+    """Every verdict comes from an exhaustive check, so no module of the
+    package imports ``random``."""
+    importers = []
+    for path in sorted((ROOT / "src" / "finsite").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                modules = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+            if any(m.split(".")[0] == "random" for m in modules):
+                importers.append(path.name)
+    assert importers == []

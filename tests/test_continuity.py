@@ -21,6 +21,7 @@ from finsite.fincat import (
 )
 from finsite.gtopology import (
     GrothendieckTopology,
+    build_topology,
     dense_topology,
     discrete_topology,
     enumerate_topologies,
@@ -323,3 +324,59 @@ class TestAgainstOracles:
     @settings(max_examples=60, deadline=None)
     def test_transformation_monoids(self, C, data):
         self.check(C, data)
+
+
+# -- cover preservation against a member-level oracle ------------------
+
+
+class TestCoverPreservationAgainstOracle:
+    """``is_cover_preserving`` against ``oracles.cover_preservation_witness``,
+    which maps each cover's members through F and closes the image by
+    composing: the verdict, the object and the witness."""
+
+    def check(self, F, Jdom, Jcod, dom_covers, cod_covers):
+        verdict = is_cover_preserving(F, Jdom, Jcod)
+        expected = oracles.cover_preservation_witness(F, dom_covers, cod_covers)
+        assert verdict.ok == (expected is None)
+        assert verdict.ok or (verdict.obj, verdict.witness.members) == expected
+
+    def check_identity(self, C, data):
+        """The identity functor from random cover sets to cover sets closed
+        upward: each the sieves above one or two random sieves."""
+        dom, cod = {}, {}
+        for x in sorted(C.objects, key=str):
+            universe = oracles.position_order(C, oracles.sieves_on(C, x))
+            dom[x] = set(data.draw(st.lists(st.sampled_from(universe), max_size=4)))
+            least = data.draw(st.lists(st.sampled_from(universe), min_size=1, max_size=2))
+            cod[x] = {S for S in universe if any(L <= S for L in least)}
+
+        def explicit(covers):
+            return GrothendieckTopology(C, covers={x: {sieve_closure(C, x, S) for S in cov} for x, cov in covers.items()})
+
+        self.check(identity_functor(C), explicit(dom), explicit(cod), dom, cod)
+
+    @given(posets(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_identity_on_random_posets(self, C, data):
+        self.check_identity(C, data)
+
+    @given(transformation_monoids(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_identity_on_transformation_monoids(self, C, data):
+        self.check_identity(C, data)
+
+    @pytest.mark.parametrize("n", [12, 30])
+    def test_lcm_on_every_pair_of_kinds(self, n):
+        C = build_divisor_poset(n)
+        P, _, _ = build_product_category(C, C)
+        F = build_lcm_functor(P, C)
+        kinds = ("trivial", "discrete", "dense", "atomic")
+        verdicts = []
+        for kp in kinds:
+            Jp = build_topology(P, kp, verify=False)[0]
+            basis = {x: [S.members for S in Jp.basis(x)] for x in P.objects}
+            for kc in kinds:
+                Jc = build_topology(C, kc, verify=False)[0]
+                self.check(F, Jp, Jc, basis, {y: {S.members for S in Jc.covers(y)} for y in C.objects})
+                verdicts.append(is_cover_preserving(F, Jp, Jc).ok)
+        assert True in verdicts and False in verdicts

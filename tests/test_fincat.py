@@ -1,4 +1,5 @@
 import functools
+import re
 import time
 
 import pytest
@@ -68,6 +69,25 @@ def tables(draw):
     return FinCategory("random", C.objects, C._arrows, C._identity, table)
 
 
+@st.composite
+def finset_triples(draw):
+    """A finite-set category on one to four carriers of zero to three
+    elements, each listed in a random order, and maps f: a -> b, g: b -> c
+    and h: c -> d with random images."""
+    sizes = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    C = build_finset_category({f"c{i}": draw(st.permutations(range(n))) for i, n in enumerate(sizes)})
+    chain = [draw(st.sampled_from(C.objects))]
+    for _ in range(3):  # no map runs from a nonempty carrier to an empty one
+        x = chain[-1]
+        chain.append(draw(st.sampled_from([y for y in C.objects if C.carrier(y) or not C.carrier(x)])))
+    maps = []
+    for x, y in zip(chain, chain[1:]):
+        n = len(C.carrier(x))
+        images = draw(st.lists(st.sampled_from(C.carrier(y)), min_size=n, max_size=n)) if n else []
+        maps.append(FinFunction(x, y, tuple(images)))
+    return (C, *maps)
+
+
 def assert_laws_match_the_oracle(C):
     report = validate_category(C)
     violations, checks = table_laws(C)
@@ -97,6 +117,19 @@ class TestValidateCategory:
         with pytest.raises(StructuralError):
             FinCategory.from_data("bad", ["a"], {"f": ("a", "zzz")})
 
+    @pytest.mark.parametrize(
+        "objects,arrows,compose,message",
+        [
+            (["a", "a"], {}, {}, "duplicate object ids in category 'c'"),
+            (["a"], {"f": "a"}, {}, "the arrows of 'c' must map each id to a (dom, cod) pair"),
+            (["a"], {"f": ("a", "a")}, {"f": "f"}, "the composition table of 'c' must map (g, f) pairs to arrows"),
+        ],
+    )
+    def test_malformed_data_is_structural(self, objects, arrows, compose, message):
+        with pytest.raises(StructuralError) as e:
+            FinCategory.from_data("c", objects, arrows, compose)
+        assert str(e.value) == message
+
     def test_law_violation_is_reported_not_raised(self):
         # parallel arrows allow a well-typed but wrong unit row
         arrows = {"f": ("a", "b"), "f2": ("a", "b")}
@@ -117,11 +150,26 @@ class TestValidateCategory:
     def test_divisor_posets_agree_with_scanning_every_pair(self, n):
         assert_laws_match_the_oracle(build_divisor_poset(n))
 
-    def test_finset_spot_check_reports_seed(self, zmod2):
-        report = validate_category(zmod2, seed=7, spot_triples=200)
-        assert report.ok
-        assert report.seed == 7
-        assert report.checks > 0
+    def test_finset_check_reads_every_element_index(self, zmod2):
+        report = validate_category(zmod2)
+        assert report.ok and report.checks == 4
+        C = build_finset_category({"e": (), "g": (0, 1)})
+        C._index["g"] = {0: 1, 1: 0}
+        assert validate_category(C).summary() == "fail (1 violations)\n  [element-index] the element index of 'g' does not invert its carrier"
+        C._index["g"] = {0: 0, 1: 1, 2: 2}
+        assert not validate_category(C).ok
+
+    @given(finset_triples())
+    @settings(max_examples=200, deadline=None)
+    def test_finset_laws_on_random_triples(self, triple):
+        """The laws that validation once sampled: associativity, both unit
+        laws, and ``compose`` against composing image tuples by hand."""
+        C, f, g, h = triple
+        assert C.compose(h, C.compose(g, f)) == C.compose(C.compose(h, g), f)
+        assert C.compose(f, C.identity(f.dom)) == f == C.compose(C.identity(f.cod), f)
+        for y, x in ((g, f), (h, g)):
+            by_hand = tuple(y.images[C.carrier(x.cod).index(e)] for e in x.images)
+            assert C.compose(y, x) == FinFunction(x.dom, y.cod, by_hand)
 
 
 class TestDivisorPoset:
@@ -142,6 +190,10 @@ class TestDivisorPoset:
     def test_zero_is_domain_error(self):
         with pytest.raises(DomainError):
             build_divisor_poset(0)
+
+    def test_a_bool_is_domain_error(self):
+        with pytest.raises(DomainError, match="got True"):
+            build_divisor_poset(True)
 
     @pytest.mark.parametrize("n", [6, 12, 30, 60])
     def test_hom_sizes_match_divisibility(self, n):
@@ -304,6 +356,20 @@ class TestFinsetBackend:
         C = build_finset_category({"g": (0, 1)})
         with pytest.raises(StructuralError, match="image 5 .* not in the carrier of 'g'"):
             C.compose(FinFunction("g", "g", (0, 5)), C.identity("g"))
+
+    @pytest.mark.parametrize(
+        "carriers,hom_cap,message",
+        [
+            ({"a": [[1], [2]]}, 10, "carrier of 'a' must be a sequence of hashable elements"),
+            ({"a": 5}, 10, "carrier of 'a' must be a sequence of hashable elements, got 5"),
+            ({"a": [0]}, "x", "the hom cap must be a non-negative integer, got 'x'"),
+            ({"a": [0]}, True, "the hom cap must be a non-negative integer, got True"),
+            ({"a": [0]}, -1, "the hom cap must be a non-negative integer, got -1"),
+        ],
+    )
+    def test_bad_arguments_are_structural(self, carriers, hom_cap, message):
+        with pytest.raises(StructuralError, match=re.escape(message)):
+            build_finset_category(carriers, hom_cap=hom_cap)
 
     def test_empty_carrier(self):
         C = build_finset_category({"e": [], "x": [0]})

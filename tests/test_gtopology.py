@@ -854,7 +854,7 @@ class TestLeastCoverCounts:
         # the report pass pulls each sieve back along each arrow into its
         # object, covers included
         C = parse_category_file((FIXTURES / "d12.cat").read_text())
-        J, _ = parse_topology_file((FIXTURES / "broken12.gtop").read_text(), C, verify=False)
+        J = parse_topology_file((FIXTURES / "broken12.gtop").read_text(), C)
         calls = []
         original = _ObjectSieves.pulled
         monkeypatch.setattr(_ObjectSieves, "pulled", lambda self, h, S: calls.append((h, S)) or original(self, h, S))

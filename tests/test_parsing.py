@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from finsite.algebra import GroupObjectWitness, check_group_object
 from finsite.errors import ResourceError
-from finsite.fincat import build_divisor_poset, relabel_category, validate_category
-from finsite.gtopology import GrothendieckTopology, build_topology, dense_topology, join, meet, sieve_universe
+from finsite.fincat import FinCategory, build_divisor_poset, relabel_category, validate_category
+from finsite.gtopology import GrothendieckTopology, build_topology, check_axioms, dense_topology, join, meet, sieve_universe
 from finsite.sieves import _sieves_on, maximal_sieve, sieve_closure, sieve_literal
 from finsite.parsing import (
     ParseFailure,
@@ -50,6 +50,24 @@ class TestCategoryParsing:
     def test_parsed_d12_validates(self, d12s):
         assert validate_category(d12s).ok
         assert len(d12s.all_arrows()) == 18
+
+    def test_a_parse_hands_the_category_one_copy_of_each_dict(self, monkeypatch):
+        """The category keeps the dicts the parser built, with no second
+        copy through ``from_data``, and lists its composable pairs as the
+        compose lines give them, then two unit entries per arrow: the
+        declared arrows first, then the identities in object order."""
+        text = read("d12.cat") + "compose id_12 . 6|12 = 6|12\n"
+        handed, init = [], FinCategory.__init__
+        monkeypatch.setattr(FinCategory, "__init__", lambda self, *args: handed.append(args) or init(self, *args))
+        monkeypatch.delattr(FinCategory, "from_data")
+        C = parse_category_file(text)
+        ((_, _, arrows, identity, table),) = handed
+        assert C._arrows is arrows and C._identity is identity and C._table is table
+        decls = [line.split() for line in text.splitlines()]
+        ends = [t[1] for t in decls if t[0] == "arrow"] + [f"id_{x}" for x in C.objects]
+        pairs = [(t[1], t[3]) for t in decls if t[0] == "compose" and not (t[1].startswith("id_") or t[3].startswith("id_"))]
+        pairs += [p for a in ends for p in ((a, f"id_{C.dom(a)}"), (f"id_{C.cod(a)}", a))]
+        assert C.composable_pairs() == tuple(dict.fromkeys(pairs))
 
     def test_empty_file_missing_header(self):
         with pytest.raises(ParseFailure) as e:
@@ -137,17 +155,16 @@ class TestCategoryParsing:
 
 class TestTopologyParsing:
     def test_cover_with_closure_and_verdict(self, d12s):
-        J, report = parse_topology_file(
-            "topology t on D_12\ncover 12 : {4|12}\n", d12s, "t.gtop"
-        )
+        J = parse_topology_file("topology t on D_12\ncover 12 : {4|12}\n", d12s, "t.gtop")
+        report = check_axioms(J)
         covered = {frozenset(d12s.dom(a) for a in S.members) for S in J.covers("12")}
         assert frozenset({"1", "2", "4"}) in covered
         assert sieve_closure(d12s, "12", ["4|12"]) in J.covers("12")  # the literal lists a generator only
-        assert report is not None and not report.ok  # stability fails at 6
+        assert not report.ok  # stability fails at 6
 
     def test_empty_cover_list_is_trivial(self, d12s):
-        J, report = parse_topology_file("topology t on D_12\n", d12s, "t.gtop")
-        assert report.ok
+        J = parse_topology_file("topology t on D_12\n", d12s, "t.gtop")
+        assert check_axioms(J).ok
         for x in d12s.objects:
             assert len(J.covers(x)) == 1
 
@@ -178,7 +195,7 @@ class TestTopologyParsing:
         from finsite.fincat import FinCategory
 
         C = FinCategory.from_data("alike", "abc", {1: ("a", "b"), "1": ("b", "c"), "h": ("a", "c")}, {("1", 1): "h"})
-        J, _ = parse_topology_file("topology t on alike\ncover c : {1}\n", C, verify=False)
+        J = parse_topology_file("topology t on alike\ncover c : {1}\n", C)
         assert sieve_closure(C, "c", ["1"]) in J.covers("c")
         with pytest.raises(ParseFailure) as e:
             parse_topology_file("topology t on alike\ncover b : {1}\n", C)
@@ -192,7 +209,7 @@ class TestTopologyParsing:
         gens = data.draw(st.lists(st.sampled_from(C.arrows_into(x)), max_size=4))
         labels = list(map(str, gens))
         head = f"topology t on {C.name}\n"
-        J, _ = parse_topology_file(head + f"cover {x} : {{{', '.join(labels)}}}\n", C, verify=False)
+        J = parse_topology_file(head + f"cover {x} : {{{', '.join(labels)}}}\n", C)
         assert J.covers(x) == {maximal_sieve(C, x), sieve_closure(C, x, gens)}
         # one label that names no arrow into x, at a random place on the line
         into_others = [a for a in C.all_arrows() if C.cod(a) != x]
@@ -221,8 +238,8 @@ class TestTopologyParsing:
         assert any(d.code == "unknown-object" for d in e.value.diagnostics)
 
     def test_j3_fixture_passes_axioms(self, arrow_cat):
-        J, report = parse_topology_file(read("j3.gtop"), arrow_cat, "j3.gtop")
-        assert report.ok
+        J = parse_topology_file(read("j3.gtop"), arrow_cat, "j3.gtop")
+        assert check_axioms(J).ok
 
 
 class TestWitnessParsing:
@@ -273,7 +290,7 @@ class TestRoundTrips:
     def test_topology_round_trip_is_byte_identical(self, cat, name):
         C = parse_category_file(read(cat), cat)
         text = read(name)
-        J, _ = parse_topology_file(text, C, name, verify=False)
+        J = parse_topology_file(text, C, name)
         assert serialize_topology(J) == text
 
     def test_witness_round_trip_is_byte_identical(self, d12s):
@@ -282,8 +299,8 @@ class TestRoundTrips:
         assert serialize_witness(d12s, w) == text
 
     def test_dense_fixture_matches_builder(self, d12s):
-        J, report = parse_topology_file(read("dense12.gtop"), d12s, "dense12.gtop")
-        assert report.ok
+        J = parse_topology_file(read("dense12.gtop"), d12s, "dense12.gtop")
+        assert check_axioms(J).ok
         assert J == dense_topology(d12s)
 
     def test_isomorphism_composites_round_trip(self):
@@ -328,7 +345,7 @@ def assert_prints_as_listed(C):
         again = build_topology(C, J.name, verify=False)[0]
         assert text == oracles.member_topology_file(again)
         assert serialize_topology(J) == text  # from the covers the oracle did not list
-        read_back, _ = parse_topology_file(text, C, verify=False)  # explicit
+        read_back = parse_topology_file(text, C)  # explicit
         assert serialize_topology(read_back) == oracles.member_topology_file(read_back)
     for J1, J2 in zip(tops, tops[1:]):
         for J in (meet(J1, J2), join(J1, J2)):
@@ -450,7 +467,7 @@ class TestFuzzedParsers:
     @settings(max_examples=60, deadline=None)
     def test_topology_files(self, d12s, fixture, data):
         text = data.draw(mutated(read(fixture)))
-        assert_parses_or_fails_inside(lambda t: parse_topology_file(t, d12s, fixture), text)
+        assert_parses_or_fails_inside(lambda t: check_axioms(parse_topology_file(t, d12s, fixture)), text)
 
     @given(data=st.data())
     @settings(max_examples=120, deadline=None)
