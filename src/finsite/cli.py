@@ -29,6 +29,7 @@ from .errors import (
     FinsiteError,
     ResourceError,
     StructuralError,
+    _check_cap,
 )
 from .fincat import (
     build_divisor_poset,
@@ -79,9 +80,14 @@ def _cap(opts, key, env, default):
         except ValueError:
             raise StructuralError(f"environment variable {env} must be an integer, got {raw!r}") from None
         source = f"environment variable {env}"
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise StructuralError(f"{source} must be a non-negative integer, got {value!r}")
-    return value
+    return _check_cap(value, source)
+
+
+# the verbs that read each cap flag; the others refuse it (FINSITE_CAP_* hold for all)
+_CAP_VERBS = {
+    "cap_sieves": ("make-topology", "check-topology", "initial-topology", "enumerate-topologies", "join"),
+    "cap_candidates": ("make-category", "enumerate-topologies", "find-objects", "check-object", "check-hom", "check-gtop"),
+}
 
 
 def _caps(opts):
@@ -244,17 +250,17 @@ def _cmd_enumerate(opts, caps):
     return 0, lines
 
 
-def _load_pair(opts, caps):
+def _load_pair(opts):
     C = _load_category(opts)
     return _load_topology(opts, C), _load_topology(opts, C, "topology2")
 
 
 def _cmd_meet(opts, caps):
-    return 0, _emit(opts, serialize_topology(meet(*_load_pair(opts, caps))))
+    return 0, _emit(opts, serialize_topology(meet(*_load_pair(opts))))
 
 
 def _cmd_join(opts, caps):
-    return 0, _emit(opts, serialize_topology(join(*_load_pair(opts, caps), sieve_cap=caps["sieves"])))
+    return 0, _emit(opts, serialize_topology(join(*_load_pair(opts), sieve_cap=caps["sieves"])))
 
 
 def _cmd_find_objects(opts, caps):
@@ -307,7 +313,8 @@ def _cmd_check_gtop(opts, caps):
         refuse_unclosed_covers(J)  # before the product is built
         P, _, _ = build_product_category(C, C, caps["candidates"])
         mul = build_lcm_functor(P, C)
-        Jp, _ = build_topology(P, opts.get("product_topology", "trivial"), sieve_cap=caps["sieves"], verify=False)
+        # Jp's covers are never listed, so it reads no sieve cap
+        Jp, _ = build_topology(P, opts.get("product_topology", "trivial"), verify=False)
         report = is_gtop_functor_monoid(mul, unit, Jp, J)
         lines = [
             "reading: functor-level (multiplication functor on the product category)",
@@ -362,6 +369,7 @@ def run_command(req: CommandRequest):
     if handler is None:
         return 2, f"error: unknown verb {req.verb!r}\nusage: finsite {{{','.join(VERBS)}}}"
     try:
+        _refuse(req.options, f"is not read by {req.verb}", *(k for k, verbs in _CAP_VERBS.items() if req.verb not in verbs))
         code, lines = handler(req.options, _caps(req.options))
     except ParseFailure as e:
         return 2, "\n".join(str(d) for d in e.diagnostics)
@@ -382,8 +390,8 @@ def _build_parser():
         p = sub.add_parser(verb)
         for args, kwargs in specs:
             p.add_argument(*args, **kwargs)
-        p.add_argument("--cap-sieves", type=int, dest="cap_sieves")
-        p.add_argument("--cap-candidates", type=int, dest="cap_candidates")
+        for key in (k for k, verbs in _CAP_VERBS.items() if verb in verbs):
+            p.add_argument("--" + key.replace("_", "-"), type=int, dest=key)
         return p
 
     cat = (("--category",), {"required": True})

@@ -32,3 +32,10 @@ class ResourceError(FinsiteError):
 
 class UniversalPropertyError(FinsiteError):
     """A mediating arrow required to exist uniquely does not."""
+
+
+def _check_cap(value, what: str) -> int:
+    """``value`` if it is a non-negative int, else a ``StructuralError``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise StructuralError(f"{what} must be a non-negative integer, got {value!r}")
+    return value

@@ -28,6 +28,7 @@ from .errors import (
     ResourceError,
     StructuralError,
     UniversalPropertyError,
+    _check_cap,
 )
 
 ObjId = Hashable
@@ -41,6 +42,15 @@ def identity_name(x: ObjId) -> str:
 def _no_composite(g, f) -> StructuralError:
     """The error for a composable pair (g, f) that a table category lacks."""
     return StructuralError(f"composition table has no entry for ({g!r} . {f!r})")
+
+
+def _pair(value) -> tuple:
+    """``value`` as a pair of hashable items; a string is none (``TypeError``)."""
+    if isinstance(value, str):
+        raise TypeError(f"{value!r} is a string, not a pair")
+    a, b = value
+    hash((a, b))
+    return a, b
 
 
 class FinCategory:
@@ -107,19 +117,26 @@ class FinCategory:
         ``arrows`` maps non-identity arrow ids to ``(dom, cod)``; user data
         never declares identities (their ids ``id_<object>`` are reserved).
         Unit compositions are filled in automatically.  The arguments are
-        copied; an entry that is not a pair raises ``StructuralError``.
+        copied; objects that are not hashable, or an entry that is not a
+        pair of hashable items (a string is none), raise ``StructuralError``.
         """
-        objects, ends, table = tuple(objects), {}, {}
+        ends, table = {}, {}
         try:
-            for a, (d, c) in dict(arrows).items():
+            objects = tuple(objects)
+            hash(objects)
+        except TypeError:
+            raise StructuralError(f"the objects of {name!r} must be an iterable of hashable ids, got {objects!r}") from None
+        try:
+            for a, pair in dict(arrows).items():
                 if isinstance(a, str) and a.startswith("id_"):
                     raise StructuralError(f"arrow id {a!r} uses the reserved identity prefix")
-                ends[a] = (d, c)
+                ends[a] = _pair(pair)
         except (TypeError, ValueError):
             raise StructuralError(f"the arrows of {name!r} must map each id to a (dom, cod) pair") from None
         try:
-            for (g, f), h in dict(compose).items():
-                table[(g, f)] = h
+            for key, h in dict(compose).items():
+                table[_pair(key)] = h
+                hash(h)
         except (TypeError, ValueError):
             raise StructuralError(f"the composition table of {name!r} must map (g, f) pairs to arrows") from None
         for x in objects:
@@ -229,10 +246,8 @@ class FinSetCategory:
     backend = "finset"
 
     def __init__(self, name, carriers: Mapping[ObjId, Sequence], hom_cap: int = DEFAULT_HOM_CAP):
-        if isinstance(hom_cap, bool) or not isinstance(hom_cap, int) or hom_cap < 0:
-            raise StructuralError(f"the hom cap must be a non-negative integer, got {hom_cap!r}")
         self.name = str(name)
-        self.hom_cap = hom_cap
+        self.hom_cap = _check_cap(hom_cap, "the hom cap")
         self._carriers = {}
         for x, elems in carriers.items():
             try:
@@ -371,7 +386,10 @@ def build_finset_category(carriers, name="finset", hom_cap: int = DEFAULT_HOM_CA
     elements, or an iterable of ``(id, elements)`` pairs.
     """
     if not isinstance(carriers, Mapping):
-        carriers = dict(carriers)
+        try:
+            carriers = dict(carriers)
+        except (TypeError, ValueError):
+            raise StructuralError(f"the carriers must be a mapping or an iterable of (id, elements) pairs, got {carriers!r}") from None
     return FinSetCategory(name, carriers, hom_cap=hom_cap)
 
 
@@ -513,8 +531,8 @@ def validate_category(C) -> ValidationReport:
             if (h, g) not in comp:
                 continue
             checks += 1
-            left = comp.get((h, comp[(g, f)])) if (h, comp[(g, f)]) in comp else None
-            right = comp.get((comp[(h, g)], f)) if (comp[(h, g)], f) in comp else None
+            left = comp.get((h, comp[g, f]))
+            right = comp.get((comp[h, g], f))
             if left is None or right is None:
                 continue
             if left != right:
@@ -658,17 +676,10 @@ def pair(C, cone: ProductCone, f, g):
         raise StructuralError("pairing arrows must target the cone's factors")
     x = C.dom(f)
     if C.backend == "finset":
-        idx = C._index.get(cone.apex, {})
-        images = []
-        ok = True
-        for e in C.carrier(x):
-            v = (C.apply(f, e), C.apply(g, e))
-            if v not in idx:
-                ok = False
-                break
-            images.append(v)
-        if ok:
-            return FinFunction(x, cone.apex, tuple(images))
+        idx = C._index.get(cone.apex, ())
+        images = tuple(zip(f.images, g.images))  # one pair per element of x, in carrier order
+        if all(v in idx for v in images):  # else the apex is searched
+            return FinFunction(x, cone.apex, images)
     meds = [
         m
         for m in C.hom(x, cone.apex)
@@ -695,6 +706,7 @@ def build_divisor_poset(N: int, candidate_cap: int = DEFAULT_CANDIDATE_CAP) -> F
     """
     if isinstance(N, bool) or not isinstance(N, int) or N < 1:
         raise DomainError(f"divisor poset needs a positive integer, got {N!r}")
+    _check_cap(candidate_cap, "the candidate cap")
     exponents, rest, p = {}, N, 2
     while p * p <= rest and p <= candidate_cap:
         while rest % p == 0:
@@ -750,11 +762,8 @@ def build_product_category(C: FinCategory, D: FinCategory, candidate_cap: int = 
     return P, p1, p2
 
 
-def relabel_category(C: FinCategory, obj_fn=str, arr_fn=None) -> FinCategory:
+def relabel_category(C: FinCategory, obj_fn, arr_fn) -> FinCategory:
     """A copy of a table category with renamed object and arrow ids."""
-    if arr_fn is None:
-        def arr_fn(a):
-            return str(a)
     objs = {x: obj_fn(x) for x in C.objects}
     arrs = {a: arr_fn(a) for a in C.all_arrows()}
     if len(set(objs.values())) != len(objs) or len(set(arrs.values())) != len(arrs):

@@ -52,17 +52,9 @@ from .sieves import (
 
 
 def sieve_universe(C, x, cap: int = DEFAULT_SIEVE_CAP):
-    """All sieves on x, as a sorted tuple."""
+    """All sieves on x, as a sorted tuple; more than ``cap`` of them raise."""
     sieves = _sieves_on(C, x)
-    if sieves.universe is None:
-        sieves.universe = tuple(sorted_sieves(C, map(sieves.sieve, sieves.up_sets((sieves.sieve(0),), cap))))
-    if len(sieves.universe) > cap:
-        raise ResourceError(
-            f"object {x!r} has {len(sieves.universe)} sieves, over the sieve cap {cap}",
-            cap_name="sieves",
-            cap_value=cap,
-        )
-    return sieves.universe
+    return tuple(sorted_sieves(C, map(sieves.sieve, sieves.up_sets((sieves.sieve(0),), cap))))
 
 
 # -- the topology type -------------------------------------------------
@@ -98,7 +90,6 @@ class GrothendieckTopology:
         self.category = category
         self.name = name
         self._covers: dict = {}
-        self._basis: dict = {}
         self._minimal_covers = basis
         self._sieve_cap = sieve_cap
         self._gap = ()  # unclosed_cover's verdict, once decided: None or (x, S, R)
@@ -114,7 +105,7 @@ class GrothendieckTopology:
     def covers(self, x) -> frozenset:
         if x not in self._covers:
             sieves = _sieves_on(self.category, x)
-            self._covers[x] = frozenset(map(sieves.sieve, sieves.up_sets(self.basis(x), self._sieve_cap)))
+            self._covers[x] = frozenset(map(sieves.sieve, sieves.up_sets(self._stored(x), self._sieve_cap)))
         return self._covers[x]
 
     def covers_map(self) -> dict:
@@ -126,18 +117,16 @@ class GrothendieckTopology:
             raise StructuralError(f"{self!r} cannot hold a {why}")
         if self._minimal_covers is None:
             return S in self.covers(S.base)
-        return any(B <= S for B in self.basis(S.base))
+        return any(B <= S for B in self._stored(S.base))
 
     def basis(self, x):
-        if x not in self._basis:
-            if not self.category.has_object(x):
-                raise StructuralError(f"unknown object {x!r}")
-            self._basis[x] = tuple(sorted_sieves(self.category, self._stored(x)))
-        return self._basis[x]
+        if not self.category.has_object(x):
+            raise StructuralError(f"unknown object {x!r}")
+        return tuple(sorted_sieves(self.category, self._stored(x)))
 
     def _stored(self, x):
-        """The sieves given at x, unsorted: its cover set or its minimal
-        covers."""
+        """The sieves given at x, an object of the category, unsorted: its
+        cover set or its minimal covers."""
         return self._covers[x] if self._minimal_covers is None else tuple(self._minimal_covers(x))
 
     def __eq__(self, other):
@@ -304,13 +293,13 @@ class AxiomReport:
     ok: bool
     violations: tuple
 
-    def summary(self, C=None) -> str:
+    def summary(self, C) -> str:
         if self.ok:
             return "pass"
         lines = [f"fail ({len(self.violations)} violations)"]
         for v in self.violations:
-            arrow = "" if v.arrow is None else f", arrow {C.arrow_label(v.arrow) if C else v.arrow}"
-            sieve = "" if v.sieve is None else f", sieve {sieve_literal(C, v.sieve) if C else v.sieve}"
+            arrow = "" if v.arrow is None else f", arrow {C.arrow_label(v.arrow)}"
+            sieve = "" if v.sieve is None else f", sieve {sieve_literal(C, v.sieve)}"
             lines.append(f"  [{v.axiom}] at {v.obj!r}{sieve}{arrow}: {v.detail}")
         return "\n".join(lines)
 

@@ -332,7 +332,7 @@ def serialize_topology(J: GrothendieckTopology) -> str:
         if covers is None:
             sieves = _sieves_on(C, x)
             top = (1 << len(sieves.keys)) - 1
-            literals = [sieves.literal(m) for m in sieves.up_sets(J.basis(x), J._sieve_cap) if m != top]
+            literals = [sieves.literal(m) for m in sieves.up_sets(J._stored(x), J._sieve_cap) if m != top]
         else:
             tx = maximal_sieve(C, x)
             literals = [S._space.literal(S._ideal) for S in covers if S is not tx]

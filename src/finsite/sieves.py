@@ -149,20 +149,22 @@ def sorted_sieves(C, sieves) -> list:
     """The sieves, all on one object x of C, in canonical order: by size,
     then by the sorted positions of their members in ``C.arrows_into(x)``.
     On a table category that is the order of sorted member labels, since
-    ``arrows_into`` lists arrows by label.  Each key is computed once,
-    from the classes (see ``_ObjectSieves.order_key``)."""
+    ``arrows_into`` lists arrows by label.
+
+    The key is the size, then the classes in ascending order.  Of two
+    sieves of one size, the one holding the first position in their
+    symmetric difference comes first; that position is the first arrow of
+    the first class that one holds and the other lacks, as classes are
+    disjoint, nonempty and numbered by their first arrow.
+    """
     sieves = list(sieves)
     if len(sieves) < 2:
         return sieves
     space = _sieves_on(C, sieves[0].base)
-    keys = space._order_keys
     for S in sieves:
-        if S not in keys:  # a sieve not ordered before
-            why = _not_on(C, space.x, S)
-            if why:
-                raise StructuralError(f"a {why} cannot be ordered among the sieves on {space.x!r}")
-            keys[S] = space.order_key(S._ideal)
-    return sorted(sieves, key=keys.__getitem__)
+        if S._space is not space:  # then _not_on says why
+            raise StructuralError(f"a {_not_on(C, space.x, S)} cannot be ordered among the sieves on {space.x!r}")
+    return sorted(sieves, key=lambda S: (S.size, tuple(_bits(S._ideal))))
 
 
 def sieve_literal(C, S: Sieve) -> str:
@@ -230,10 +232,8 @@ class _ObjectSieves:
         self.C = C
         self.x = x
         self.keys = keys
-        self.universe = None
         self._down = None
         self._built: dict = {}  # down-set mask -> its sieve
-        self._order_keys: dict = {}  # sieve -> its key in sorted_sieves
         self._preimages: dict = {}  # arrow h out of x -> per class c at cod(h), the mask of classes i with h . i in c
 
     @property
@@ -271,20 +271,6 @@ class _ObjectSieves:
         if S._flags is None:
             S._flags = _flags(S._ideal)
         return sum(itertools.compress(self.preimages(h, S._space), S._flags))
-
-    def order_key(self, ideal: int) -> tuple:
-        """The key that orders the sieve made of ``ideal`` as
-        ``sorted_sieves`` does: its size, then its classes in ascending
-        order.
-
-        For sets of one size, the sorted position tuple of A precedes that
-        of B iff the first position in their symmetric difference lies in
-        A.  That position is the first arrow of the first class that one
-        holds and the other lacks, since classes are disjoint and numbered
-        by their first arrow; so the sorted class tuples compare alike.
-        Neither tuple is a prefix of the other, as every class is nonempty.
-        """
-        return (self.size(ideal), tuple(_bits(ideal)))
 
     def up_sets(self, bottoms, cap) -> set:
         """The masks of every sieve that contains one of the sieves

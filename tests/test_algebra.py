@@ -14,7 +14,7 @@ from finsite.algebra import (
     monoid_witness,
     twist_arrow,
 )
-from finsite.errors import StructuralError
+from finsite.errors import ResourceError, StructuralError
 from finsite.fincat import (
     FinCategory,
     binary_product,
@@ -237,6 +237,19 @@ class TestSearch:
         )
         found = find_algebraic_objects(C, "monoid")
         assert [(w.carrier, w.mu, w.eta) for w in found] == [("Z", "id_Z", "id_Z")]
+
+    def test_the_candidate_cap_counts_every_witness_tried(self):
+        # three isomorphic terminal objects: each product search sees 9
+        # candidates, and the witness search tries 3 * 3 * 3 = 27
+        objs = "abc"
+        arrows = {x + y: (x, y) for x in objs for y in objs if x != y}
+        compose = {(y + z, x + y): x + z if x != z else f"id_{x}" for x, y in arrows.values() for z in objs if z != y}
+        C = FinCategory.from_data("chaotic", objs, arrows, compose)
+        assert len(find_algebraic_objects(C, "monoid", candidate_cap=27)) == 27
+        with pytest.raises(ResourceError) as e:
+            find_algebraic_objects(C, "monoid", candidate_cap=26)
+        assert str(e.value) == "witness search exceeds the candidate cap 26"
+        assert (e.value.cap_name, e.value.cap_value) == ("candidates", 26)
 
     def test_finset_backend_rejected(self, zmod2):
         with pytest.raises(StructuralError):

@@ -2,6 +2,7 @@
 as a change to this file, and the README's table of removed names checked
 against the code."""
 
+import argparse
 import ast
 import importlib
 import importlib.util
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import finsite
 import finsite.sieves
+from finsite import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -69,6 +71,27 @@ def test_removed_names_do_not_resolve():
     assert "finsite.sieves.empty_sieve" in names and "finsite.fincat.check_commutes" in names
     assert [n for n in names if resolves(n)] == []
     assert resolves("finsite.sieves.sieve_closure")
+
+
+def readme_cap_verbs():
+    """{flag: sorted verbs} from the README's caps table."""
+    section = README.read_text().split("## Caps", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:-1] for line in section.splitlines() if line.startswith("| ")][2:]
+    return {
+        flag: sorted(re.findall(r"`([\w-]+)`", verbs))
+        for _, _, flags, verbs, _ in rows
+        for flag in re.findall(r"`(--[\w-]+)`", flags)
+    }
+
+
+def test_readme_names_the_verbs_that_take_each_cap_flag():
+    (sub,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    taken = {
+        flag: sorted(verb for verb, p in sub.choices.items() if flag in p._option_string_actions)
+        for flag in ("--cap-sieves", "--cap-candidates")
+    }
+    assert taken["--cap-sieves"] and taken["--cap-candidates"]
+    assert readme_cap_verbs() == taken
 
 
 def test_traced_names_exist():

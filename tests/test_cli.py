@@ -547,6 +547,26 @@ class TestIgnoredFlags:
         code, report = run("check-gtop", category=d12_file, topology=dense12, functor_level=True, unit="1", witness=wit)
         assert (code, report) == (2, "error: --witness cannot be combined with --functor-level")
 
+    @pytest.mark.parametrize(
+        "verb, key",
+        [
+            ("validate", "cap_sieves"),
+            ("pullback", "cap_candidates"),
+            ("check-continuous", "cap_sieves"),
+            ("meet", "cap_candidates"),
+            ("make-category", "cap_sieves"),
+            ("find-objects", "cap_sieves"),
+            ("make-topology", "cap_candidates"),
+            ("check-gtop", "cap_sieves"),  # its product topology's covers are never listed
+        ],
+    )
+    def test_a_cap_the_verb_does_not_read(self, d12_file, verb, key):
+        flag = "--" + key.replace("_", "-")
+        assert run(verb, category=d12_file, **{key: 5}) == (2, f"error: {flag} is not read by {verb}")
+        with pytest.raises(SystemExit) as e:
+            main([verb, "--category", d12_file, flag, "5"])
+        assert e.value.code == 2
+
     def test_main_refuses_them_too(self, capsys, d12_file):
         assert main(["make-category", "--divisor", "6", "--product", d12_file, d12_file]) == 2
         assert capsys.readouterr().out == "error: --product cannot be combined with --divisor\n"

@@ -123,11 +123,56 @@ class TestValidateCategory:
             (["a", "a"], {}, {}, "duplicate object ids in category 'c'"),
             (["a"], {"f": "a"}, {}, "the arrows of 'c' must map each id to a (dom, cod) pair"),
             (["a"], {"f": ("a", "a")}, {"f": "f"}, "the composition table of 'c' must map (g, f) pairs to arrows"),
+            # a two-character string unpacks as a pair, but is none
+            (["a", "b"], {"f": "ab"}, {}, "the arrows of 'c' must map each id to a (dom, cod) pair"),
+            (["a"], {"g": ("a", "a"), "f": ("a", "a"), "h": ("a", "a")}, {"gf": "h"}, "the composition table of 'c' must map (g, f) pairs to arrows"),
         ],
     )
     def test_malformed_data_is_structural(self, objects, arrows, compose, message):
         with pytest.raises(StructuralError) as e:
             FinCategory.from_data("c", objects, arrows, compose)
+        assert str(e.value) == message
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: build_finset_category(5), "the carriers must be a mapping or an iterable of (id, elements) pairs, got 5"),
+            (lambda: FinCategory.from_data("c", 5, {}), "the objects of 'c' must be an iterable of hashable ids, got 5"),
+            (lambda: FinCategory.from_data("c", [["a"]], {}), "the objects of 'c' must be an iterable of hashable ids, got (['a'],)"),
+            (lambda: FinCategory.from_data("c", ["a"], {"f": (["a"], "a")}), "the arrows of 'c' must map each id to a (dom, cod) pair"),
+            (
+                lambda: FinCategory.from_data("c", ["a"], {"f": ("a", "a")}, {("f", "f"): ["f"]}),
+                "the composition table of 'c' must map (g, f) pairs to arrows",
+            ),
+            (lambda: build_divisor_poset(12, candidate_cap="x"), "the candidate cap must be a non-negative integer, got 'x'"),
+            (lambda: build_divisor_poset(12, candidate_cap=-1), "the candidate cap must be a non-negative integer, got -1"),
+        ],
+        ids=["carriers", "objects", "unhashable-object", "unhashable-endpoint", "unhashable-composite", "cap-type", "cap-sign"],
+    )
+    def test_bad_api_arguments_are_structural(self, call, message):
+        with pytest.raises(StructuralError) as e:
+            call()
+        assert str(e.value) == message
+
+    @pytest.mark.parametrize(
+        "objects, arrows, identity, table, message",
+        [
+            (["a"], {}, {}, {}, "no identity arrow recorded for object 'a'"),
+            (["a"], {}, {"a": "i"}, {}, "identity of 'a' is a dangling arrow id"),
+            (["a"], {"i": ("a", "a")}, {"a": "i"}, {("i", "i"): "z"}, "composition entry references unknown arrow 'z'"),
+            (
+                ["a", "b"],
+                {"i": ("a", "a"), "j": ("b", "b"), "f": ("a", "b")},
+                {"a": "i", "b": "j"},
+                {("f", "f"): "f"},
+                "composition ('f' . 'f') is not composable: cod 'b' != dom 'a'",
+            ),
+        ],
+        ids=["missing-identity", "dangling-identity", "unknown-entry", "not-composable"],
+    )
+    def test_the_constructor_refuses_broken_structure(self, objects, arrows, identity, table, message):
+        with pytest.raises(StructuralError) as e:
+            FinCategory("c", objects, arrows, identity, table)
         assert str(e.value) == message
 
     def test_law_violation_is_reported_not_raised(self):
@@ -441,6 +486,13 @@ class TestProductCategory:
         P, _, _ = build_product_category(d12, d12)
         assert len(P.objects) == 36
         assert len(P.all_arrows()) == 324
+
+    def test_the_candidate_cap_bounds_the_table(self, d12):
+        # D_12 has 40 composable pairs, so D_12 x D_12 has 1 600
+        with pytest.raises(ResourceError) as e:
+            build_product_category(d12, d12, candidate_cap=1599)
+        assert str(e.value) == "product category with 324 arrows / 1600 composites exceeds the candidate cap 1599"
+        assert (e.value.cap_name, e.value.cap_value) == ("candidates", 1599)
 
 
 class TestFunctors:

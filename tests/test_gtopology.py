@@ -79,6 +79,12 @@ class TestSieveUniverse:
         with pytest.raises(ResourceError):
             sieve_universe(d30, 30, cap=5)
 
+    def test_a_listed_universe_does_not_lift_the_cap(self, d12):
+        assert len(sieve_universe(d12, 12)) == 10
+        with pytest.raises(ResourceError) as e:
+            sieve_universe(d12, 12, 3)
+        assert (e.value.cap_name, e.value.cap_value) == ("sieves", 3)
+
     def test_finset_universe_by_images(self):
         g = (0, 1)
         gg = tuple((a, b) for a in g for b in g)

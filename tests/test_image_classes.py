@@ -243,6 +243,14 @@ class TestGroupObjectsWithoutHomSets:
                 ask(C, "g3")
             assert err.value.cap_name == "homs"
 
+    def test_listing_members_counts_the_arrows_from_each_domain(self):
+        # 7 image classes fit the cap, but the 27 maps of {0, 1, 2} do not
+        C = build_finset_category({"a": (0, 1, 2)}, hom_cap=10)
+        S = maximal_sieve(C, "a")
+        with pytest.raises(ResourceError) as err:
+            S.members
+        assert str(err.value) == "a sieve on 'a' has 27 arrows from 'a', over the hom cap 10"
+        assert (err.value.cap_name, err.value.cap_value) == ("homs", 10)
 
     def test_ordering_sieves_on_z4_keeps_no_weight_per_class(self):
         # g2 has 65 535 image classes; a key that weighs each class by a
